@@ -33,7 +33,6 @@
 #include <span>
 
 #include "net/transport.hpp"
-#include "util/checksum.hpp"
 
 namespace embsp::net {
 
@@ -41,10 +40,9 @@ enum class FrameKind : std::uint8_t { hello = 0, data = 1, end = 2, abort = 3 };
 
 inline constexpr std::uint32_t kFrameMagic = 0x454D4250;  // "EMBP"
 inline constexpr std::size_t kFrameHeaderBytes = 24;
-/// Sanity cap on a single frame's payload; anything larger is treated as a
-/// desynchronized or corrupted stream (gamma bounds real payloads far
-/// below this).
-inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
+// kMaxFramePayload (net/transport.hpp) caps a frame's payload: senders
+// reject larger posts, and a receiver treats a larger header as a
+// desynchronized or corrupted stream.
 
 struct FrameHeader {
   FrameKind kind = FrameKind::data;
@@ -86,17 +84,6 @@ inline FrameHeader decode_frame_header(std::span<const std::byte> in) {
                             " exceeds the sanity cap");
   }
   return h;
-}
-
-/// Payload checksum over gathered fragments — matches util::checksum64 of
-/// the concatenated bytes, which is what the receiver computes.
-inline std::uint64_t fragment_checksum(
-    std::span<const std::span<const std::byte>> frags) {
-  std::size_t total = 0;
-  for (const auto& f : frags) total += f.size();
-  util::ChecksumStream cs(total);
-  for (const auto& f : frags) cs.update(f);
-  return cs.finish();
 }
 
 }  // namespace embsp::net

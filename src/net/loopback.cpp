@@ -57,8 +57,7 @@ class LoopbackTransport final : public Transport {
 
   void post(std::uint32_t dst,
             std::span<const std::span<const std::byte>> frags) override {
-    std::size_t total = 0;
-    for (const auto& f : frags) total += f.size();
+    const std::size_t total = message_size(frags);
     Blob blob(total);
     std::size_t off = 0;
     for (const auto& f : frags) {

@@ -9,10 +9,15 @@
 // bring-up deadlock-free: a listener exists as soon as its process starts,
 // independent of that process's own connect progress.
 //
-// Data plane: post() queues one frame per message as gather iovecs —
-// header + the caller's payload fragments, unchanged and uncopied — and
-// exchange() pumps all links from one poll() loop, servicing reads and
-// writes simultaneously.  That concurrency is load-bearing, not an
+// Data plane: post() encodes one frame per message — header, then the
+// caller's fragments copied back to back — onto the end of the peer's
+// contiguous send buffer, so the caller's storage is free the moment post()
+// returns and a send() moves many frames at once.  The syscall count
+// follows bytes, not posts: progress() does nothing until the unsent
+// backlog across links reaches kPumpBytes, then runs one poll() pass.
+// exchange() pumps all links from one poll() loop until everything has
+// drained, servicing reads and writes simultaneously, and then releases
+// the send buffers.  That concurrency is load-bearing, not an
 // optimization: in an all-to-all phase every rank is sending at once, so a
 // send-then-receive schedule deadlocks as soon as h-relations exceed the
 // kernel's socket buffers.  A phase ends on this side when every peer's
@@ -30,7 +35,6 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -39,18 +43,26 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <deque>
 #include <thread>
 
 #include "net/frame.hpp"
 #include "net/link_stats.hpp"
 #include "net/transport.hpp"
+#include "util/checksum.hpp"
 
 namespace embsp::net {
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Unsent bytes, summed over links, below which progress() makes no
+/// syscall: one poll()+send() per 128 or more 512-byte blocks instead of
+/// one per post.  A constant, not an option: it trades nothing the caller
+/// could tune — exchange() drains whatever is left either way, and 64 KiB
+/// still fits in one kernel socket buffer, so a pass that does run drains
+/// it without waiting on the peer.
+constexpr std::size_t kPumpBytes = 64 * 1024;
 
 [[noreturn]] void throw_errno(const std::string& what, int err) {
   throw NetError(em::classify_errno(err),
@@ -151,8 +163,7 @@ class SocketTransport final : public Transport {
 
   void post(std::uint32_t dst,
             std::span<const std::span<const std::byte>> frags) override {
-    std::size_t total = 0;
-    for (const auto& f : frags) total += f.size();
+    const std::size_t total = message_size(frags);
     if (dst == rank_) {
       // Self delivery never touches the wire: materialize the gathered
       // fragments exactly as the receive path would.
@@ -165,17 +176,13 @@ class SocketTransport final : public Transport {
       self_ready_.push_back(std::move(blob));
       return;
     }
-    Peer& peer = peers_[dst];
     FrameHeader h;
     h.kind = FrameKind::data;
     h.src = rank_;
     h.len = static_cast<std::uint32_t>(total);
-    h.checksum = fragment_checksum(frags);
-    queue_frame(peer, h, frags);
-    links_[dst].bytes_sent += kFrameHeaderBytes + total;
+    queue_frame(dst, h, frags);
     links_[dst].frames_sent += 1;
     links_[dst].send_bytes.record(total);
-    track_inflight(dst, kFrameHeaderBytes + total);
   }
 
   void progress() override {
@@ -184,7 +191,9 @@ class SocketTransport final : public Transport {
     // and a zero result is simply "nothing movable right now" — the io
     // deadline belongs to exchange(), not here.  Bytes drained from this
     // path are the overlap the caller bought by interleaving progress()
-    // with its compute/disk work.
+    // with its compute/disk work.  A backlog under kPumpBytes waits for
+    // more posts (or for exchange()).
+    if (unsent_bytes_ < kPumpBytes) return;
     progressing_ = true;
     struct Reset {
       bool& flag;
@@ -197,7 +206,7 @@ class SocketTransport final : public Transport {
       Peer& peer = peers_[q];
       if (peer.fd < 0) continue;
       short events = POLLIN;  // early next-phase bytes are parsed and kept
-      if (peer.iov_idx < peer.iov.size()) events |= POLLOUT;
+      if (peer.unsent()) events |= POLLOUT;
       pfds_.push_back({peer.fd, events, 0});
       pfd_rank_.push_back(q);
     }
@@ -229,10 +238,7 @@ class SocketTransport final : public Transport {
       FrameHeader h;
       h.kind = FrameKind::end;
       h.src = rank_;
-      h.checksum = util::checksum64({});
-      queue_frame(peers_[q], h, {});
-      links_[q].bytes_sent += kFrameHeaderBytes;
-      track_inflight(q, kFrameHeaderBytes);
+      queue_frame(q, h, {});
       // A fast peer may already have delivered next-phase bytes; frames
       // buffered past the previous END are parsed now.
       parse_frames(q);
@@ -248,10 +254,11 @@ class SocketTransport final : public Transport {
       out[q] = std::move(peers_[q].ready);
       peers_[q].ready.clear();
       peers_[q].end_seen = false;
-      peers_[q].iov.clear();
-      peers_[q].iov_idx = 0;
-      peers_[q].headers.clear();
-      links_[q].inflight_bytes = 0;  // everything queued has drained
+      // Everything queued has drained: give the phase's send buffer back,
+      // so an idle rank holds none.
+      peers_[q].outbuf = std::vector<std::byte>();
+      peers_[q].out_pos = 0;
+      links_[q].inflight_bytes = 0;
     }
     ++exchanges_;
     exchange_wait_ns_.record(static_cast<std::uint64_t>(
@@ -296,10 +303,10 @@ class SocketTransport final : public Transport {
  private:
   struct Peer {
     int fd = -1;
-    // --- send side: gather list built by post(), drained by pump() ------
-    std::deque<std::array<std::byte, kFrameHeaderBytes>> headers;
-    std::vector<iovec> iov;
-    std::size_t iov_idx = 0;  ///< first incomplete entry; earlier are sent
+    // --- send side: frames encoded by post(), drained by write_some() ----
+    std::vector<std::byte> outbuf;
+    std::size_t out_pos = 0;  ///< first unsent byte of outbuf
+    [[nodiscard]] bool unsent() const { return out_pos < outbuf.size(); }
     // --- receive side ----------------------------------------------------
     std::vector<std::byte> inbuf;
     std::size_t parse_pos = 0;
@@ -307,24 +314,24 @@ class SocketTransport final : public Transport {
     bool end_seen = false;
   };
 
-  void track_inflight(std::uint32_t dst, std::uint64_t frame_bytes) {
-    auto& l = links_[dst];
-    l.inflight_bytes += frame_bytes;
-    l.max_inflight_bytes = std::max(l.max_inflight_bytes, l.inflight_bytes);
-  }
-
-  void queue_frame(Peer& peer, const FrameHeader& h,
+  /// Appends header + payload to the peer's send buffer and checksums the
+  /// payload where it landed.
+  void queue_frame(std::uint32_t q, FrameHeader h,
                    std::span<const std::span<const std::byte>> frags) {
-    peer.headers.emplace_back();
-    encode_frame_header(h, peer.headers.back());
-    peer.iov.push_back(
-        {peer.headers.back().data(), peer.headers.back().size()});
-    for (const auto& f : frags) {
-      if (f.empty()) continue;
-      // iovec's iov_base is non-const by API; the kernel only reads it.
-      peer.iov.push_back(
-          {const_cast<std::byte*>(f.data()), f.size()});
-    }
+    auto& buf = peers_[q].outbuf;
+    const std::size_t at = buf.size();
+    buf.resize(at + kFrameHeaderBytes);
+    for (const auto& f : frags) buf.insert(buf.end(), f.begin(), f.end());
+    h.checksum = util::checksum64(
+        std::span<const std::byte>(buf).subspan(at + kFrameHeaderBytes));
+    encode_frame_header(
+        h, std::span<std::byte>(buf).subspan(at, kFrameHeaderBytes));
+    const std::size_t frame = buf.size() - at;
+    unsent_bytes_ += frame;
+    auto& l = links_[q];
+    l.bytes_sent += frame;
+    l.inflight_bytes += frame;
+    l.max_inflight_bytes = std::max(l.max_inflight_bytes, l.inflight_bytes);
   }
 
   /// Drives every link until all sends drained and all ENDs arrived.  The
@@ -340,7 +347,7 @@ class SocketTransport final : public Transport {
         if (q == rank_) continue;
         Peer& peer = peers_[q];
         short events = 0;
-        if (peer.iov_idx < peer.iov.size()) events |= POLLOUT;
+        if (peer.unsent()) events |= POLLOUT;
         if (!peer.end_seen) events |= POLLIN;
         if (events == 0) continue;
         pending = true;
@@ -376,7 +383,7 @@ class SocketTransport final : public Transport {
     for (std::uint32_t q = 0; q < p_; ++q) {
       if (q == rank_) continue;
       const Peer& peer = peers_[q];
-      if (peer.iov_idx < peer.iov.size() || !peer.end_seen) {
+      if (peer.unsent() || !peer.end_seen) {
         if (!slow.empty()) slow += ", ";
         slow += std::to_string(q);
       }
@@ -388,13 +395,10 @@ class SocketTransport final : public Transport {
 
   void write_some(std::uint32_t q) {
     Peer& peer = peers_[q];
-    while (peer.iov_idx < peer.iov.size()) {
-      const std::size_t cnt =
-          std::min<std::size_t>(peer.iov.size() - peer.iov_idx, 64);
-      msghdr msg{};
-      msg.msg_iov = peer.iov.data() + peer.iov_idx;
-      msg.msg_iovlen = cnt;
-      const ssize_t n = ::sendmsg(peer.fd, &msg, MSG_NOSIGNAL);
+    while (peer.unsent()) {
+      const ssize_t n =
+          ::send(peer.fd, peer.outbuf.data() + peer.out_pos,
+                 peer.outbuf.size() - peer.out_pos, MSG_NOSIGNAL);
       if (n < 0) {
         const int err = errno;
         if (err == EINTR) continue;
@@ -403,26 +407,20 @@ class SocketTransport final : public Transport {
           throw PeerFailedError("net: rank " + std::to_string(q) +
                                 " closed the connection mid-phase");
         }
-        throw_errno("net: sendmsg to rank " + std::to_string(q), err);
+        throw_errno("net: send to rank " + std::to_string(q), err);
       }
-      const auto drained = static_cast<std::uint64_t>(n);
+      const auto drained = static_cast<std::size_t>(n);
+      peer.out_pos += drained;
+      unsent_bytes_ -= drained;
       links_[q].inflight_bytes -=
-          std::min(links_[q].inflight_bytes, drained);
+          std::min<std::uint64_t>(links_[q].inflight_bytes, drained);
       total_drained_bytes_ += drained;
       if (progressing_) progressed_drained_bytes_ += drained;
-      std::size_t left = static_cast<std::size_t>(n);
-      while (left > 0 && peer.iov_idx < peer.iov.size()) {
-        iovec& v = peer.iov[peer.iov_idx];
-        if (left >= v.iov_len) {
-          left -= v.iov_len;
-          ++peer.iov_idx;
-        } else {
-          v.iov_base = static_cast<std::byte*>(v.iov_base) + left;
-          v.iov_len -= left;
-          left = 0;
-        }
-      }
     }
+    // Fully drained: later posts refill the buffer from the front, so its
+    // size tracks the unsent backlog rather than the phase volume.
+    peer.outbuf.clear();
+    peer.out_pos = 0;
   }
 
   void read_some(std::uint32_t q) {
@@ -744,6 +742,9 @@ class SocketTransport final : public Transport {
   // at small h-relations).
   std::vector<pollfd> pfds_;
   std::vector<std::uint32_t> pfd_rank_;
+  /// Bytes queued in the send buffers and not yet taken by the kernel,
+  /// summed over links; progress() compares it with kPumpBytes.
+  std::size_t unsent_bytes_ = 0;
   /// True while progress() drives write_some: those drained bytes were
   /// hidden behind the caller's compute/disk work.
   bool progressing_ = false;

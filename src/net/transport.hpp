@@ -65,7 +65,35 @@ class CorruptFrameError : public NetError {
       : NetError(Kind::corrupt, what) {}
 };
 
+/// A post() larger than one frame can carry.  Raised by the sender before
+/// anything is queued, so the peer never sees the message.
+class MessageTooLargeError : public NetError {
+ public:
+  explicit MessageTooLargeError(const std::string& what)
+      : NetError(Kind::persistent, what) {}
+};
+
 using Blob = std::vector<std::byte>;
+
+/// Largest message post() accepts on any backend: the socket frame's
+/// payload cap, which receivers also enforce on every header they decode
+/// (gamma bounds real payloads far below it).
+inline constexpr std::uint32_t kMaxFramePayload = 1u << 30;
+
+/// Total size of a fragment list; throws MessageTooLargeError above
+/// kMaxFramePayload.
+inline std::size_t message_size(
+    std::span<const std::span<const std::byte>> frags) {
+  std::size_t total = 0;
+  for (const auto& f : frags) total += f.size();
+  if (total > kMaxFramePayload) {
+    throw MessageTooLargeError("net: message of " + std::to_string(total) +
+                               " bytes exceeds the " +
+                               std::to_string(kMaxFramePayload) +
+                               "-byte frame limit");
+  }
+  return total;
+}
 
 class Transport {
  public:
@@ -75,11 +103,11 @@ class Transport {
   [[nodiscard]] virtual std::uint32_t size() const = 0;
 
   /// Queue one message for `dst` (any rank, including self).  The fragments
-  /// are gathered at transmission time — the socket backend serializes them
-  /// straight into vectored send buffers (writev), so arena-resident
-  /// MessageRef spans go to the wire with no intermediate copy.  Callers
-  /// must keep the fragment storage alive until the next exchange()
-  /// returns.
+  /// are copied, concatenated, before post() returns — into the staging
+  /// mailbox (loopback) or the peer's send buffer (socket) — so the caller
+  /// may reuse or free their storage immediately.  Throws
+  /// MessageTooLargeError, before copying anything, when the fragments sum
+  /// past kMaxFramePayload.
   virtual void post(std::uint32_t dst,
                     std::span<const std::span<const std::byte>> frags) = 0;
 
@@ -93,9 +121,11 @@ class Transport {
   /// buffer (and pre-parse) whatever peers have already delivered, then
   /// return immediately — never waits, and never throws PeerTimeoutError
   /// (the io deadline is anchored at complete(), not here; see below).
-  /// Wire or framing failures still surface as PeerFailedError /
-  /// CorruptFrameError.  The default is a no-op: backends whose post()
-  /// already completes the transmission (loopback) need nothing more.
+  /// A backend may skip the pass while too little is queued to be worth a
+  /// syscall (socket: under 64 KiB).  Wire or framing failures still
+  /// surface as PeerFailedError / CorruptFrameError.  The default is a
+  /// no-op: backends whose post() already completes the transmission
+  /// (loopback) need nothing more.
   virtual void progress() {}
 
   /// Phase barrier + delivery: blocks until every rank has entered

@@ -242,19 +242,6 @@ SimResult DistSimulator::run(
     std::vector<bsp::MessageRef> outgoing_refs;
     std::vector<bsp::Outbox> outboxes;
 
-    // post() keeps fragment spans alive until exchange() returns — the
-    // socket backend serializes them into the wire at pump time — but the
-    // spans this loop produces are transient (fetch callbacks, pack_blocks
-    // scratch, serialized records), so they are staged into owned buffers
-    // first and the stage is dropped after each exchange.  Growing the
-    // outer vector may move the inner vectors; their heap storage stays
-    // put, so spans posted earlier in the phase remain valid.
-    std::vector<std::vector<std::byte>> wire_stage;
-    const auto post_staged = [&](std::uint32_t dst,
-                                 std::span<const std::byte> bytes) {
-      wire_stage.emplace_back(bytes.begin(), bytes.end());
-      tp_->post(dst, std::span<const std::byte>(wire_stage.back()));
-    };
     // Per-vproc compute results, reduced sequentially in vproc order below
     // so cost totals are identical whether compute fans out or not.
     struct VpStats {
@@ -287,7 +274,9 @@ SimResult DistSimulator::run(
         // --- Fetch: read local blocks of this batch, forward to owners.
         // Each block is handed to the transport the moment the disks
         // surface it and progress() pushes it toward the wire while the
-        // remaining blocks of the batch are still being read.
+        // remaining blocks of the batch are still being read.  post()
+        // copies before returning, so transient spans — this callback's,
+        // pack_blocks scratch, serialized records — are posted directly.
         {
           ObsPhase phase(rec, "fetch_msg", disks, &phase_io.fetch_msg, me);
           messages.fetch_group_blocks(
@@ -297,15 +286,12 @@ SimResult DistSimulator::run(
                 r.read<std::uint32_t>();  // src
                 const auto dst = r.read<std::uint32_t>();
                 const auto owner = owner_of(dst);
-                // The fetch callback's span is only valid during the call,
-                // so it goes through the staging copy.
-                post_staged(owner, block);
+                tp_->post(owner, block);
                 if (owner != me) comm_bytes_this_step += block.size();
                 tp_->progress();
               });
         }
         auto forward = tp_->exchange();
-        wire_stage.clear();
 
         // --- Compute: reassemble inboxes, run the k virtual supersteps.
         const std::uint32_t first = round * k;
@@ -459,9 +445,7 @@ SimResult DistSimulator::run(
           }
         }
 
-        // --- Writing: pack per (owner, batch) and scatter randomly.  The
-        // packed block spans die when pack_blocks returns, so scatter
-        // posts go through the staging copy too.
+        // --- Writing: pack per (owner, batch) and scatter randomly.
         {
           std::vector<std::uint64_t> dest_keys;
           std::vector<std::pair<std::uint64_t, std::size_t>> index;
@@ -482,7 +466,7 @@ SimResult DistSimulator::run(
                 cfg_.routing == RoutingMode::deterministic
                     ? (me + rr_scatter++) % p
                     : rng.below(p));
-            post_staged(target, block);
+            tp_->post(target, block);
             if (target != me) comm_bytes_this_step += block.size();
             // Sealed blocks go to the wire while the pack continues.
             tp_->progress();
@@ -516,7 +500,6 @@ SimResult DistSimulator::run(
           }
         }
         auto scattered = tp_->exchange();
-        wire_stage.clear();
 
         // --- Receive scattered blocks, write them to local buckets in
         // source-rank order (the ParSimulator's mailbox sweep order — the
@@ -569,12 +552,9 @@ SimResult DistSimulator::run(
             cfg_.cancel->load(std::memory_order_relaxed);
         w.write<std::uint8_t>(cancel_sample ? 1 : 0);
         const auto record = w.take();
-        for (std::uint32_t q = 0; q < p; ++q) {
-          post_staged(q, record);
-        }
+        for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, record);
       }
       auto controls = tp_->exchange();
-      wire_stage.clear();
       bsp::SuperstepCost step_cost;
       bool any = false;
       bool cancel_seen = false;
@@ -618,12 +598,9 @@ SimResult DistSimulator::run(
 
     {
       const auto blob = local_out.take();
-      for (std::uint32_t q = 0; q < p; ++q) {
-        post_staged(q, blob);
-      }
+      for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, blob);
     }
     auto gathered = tp_->exchange();
-    wire_stage.clear();
     for (std::uint32_t src = 0; src < p; ++src) {
       if (gathered[src].size() != 1) {
         throw net::PeerFailedError(
@@ -669,12 +646,9 @@ SimResult DistSimulator::run(
       w.write<std::uint64_t>(arena_peak);
       w.write<std::uint8_t>(messages.in_memory_routing() ? 1 : 0);
       const auto record = w.take();
-      for (std::uint32_t q = 0; q < p; ++q) {
-        post_staged(q, record);
-      }
+      for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, record);
     }
     auto records = tp_->exchange();
-    wire_stage.clear();
     std::uint64_t copied_total = 0;
     std::uint64_t arena_peak_all = 0;
     bool mem_routing = true;

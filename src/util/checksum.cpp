@@ -23,35 +23,4 @@ std::uint64_t checksum64(std::span<const std::byte> data) {
   return mix64(h);
 }
 
-ChecksumStream::ChecksumStream(std::size_t total_size)
-    : h_(kOffset ^ (total_size * kPrime)) {}
-
-void ChecksumStream::update(std::span<const std::byte> data) {
-  std::size_t i = 0;
-  if (lane_fill_ > 0) {
-    while (lane_fill_ < 8 && i < data.size()) lane_[lane_fill_++] = data[i++];
-    if (lane_fill_ < 8) return;
-    std::uint64_t lane;
-    std::memcpy(&lane, lane_, 8);
-    h_ = (h_ ^ mix64(lane)) * kPrime;
-    lane_fill_ = 0;
-  }
-  for (; i + 8 <= data.size(); i += 8) {
-    std::uint64_t lane;
-    std::memcpy(&lane, data.data() + i, 8);
-    h_ = (h_ ^ mix64(lane)) * kPrime;
-  }
-  for (; i < data.size(); ++i) lane_[lane_fill_++] = data[i];
-}
-
-std::uint64_t ChecksumStream::finish() const {
-  // Trailing bytes (< one lane) use the byte-at-a-time tail fold, exactly
-  // as checksum64 does for a contiguous buffer.
-  std::uint64_t h = h_;
-  for (std::size_t i = 0; i < lane_fill_; ++i) {
-    h = (h ^ static_cast<std::uint8_t>(lane_[i])) * kPrime;
-  }
-  return mix64(h);
-}
-
 }  // namespace embsp::util

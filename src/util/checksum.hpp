@@ -20,28 +20,10 @@ namespace embsp::util {
 
 /// Checksum of an arbitrary byte range.  Deterministic across platforms of
 /// the same endianness (the simulators only ever compare sums computed in
-/// the same process, so endianness never observable).
+/// the same process, so endianness never observable).  Also the net
+/// tier's frame checksum: a socket post() copies the payload into its send
+/// buffer and sums that contiguous copy.
 [[nodiscard]] std::uint64_t checksum64(std::span<const std::byte> data);
-
-/// Streaming form of checksum64 for data that is only available as a
-/// sequence of fragments (e.g. the net tier checksumming a frame payload it
-/// sends as gathered iovecs).  The total length must be declared up front —
-/// checksum64 folds the length into the seed — and the concatenation of the
-/// update() fragments must supply exactly that many bytes.  For any
-/// fragmentation, finish() equals checksum64 over the concatenated bytes.
-class ChecksumStream {
- public:
-  explicit ChecksumStream(std::size_t total_size);
-
-  void update(std::span<const std::byte> data);
-  [[nodiscard]] std::uint64_t finish() const;
-
- private:
-  std::uint64_t h_;
-  /// Carry for a partial 8-byte lane spanning fragment boundaries.
-  std::byte lane_[8];
-  std::size_t lane_fill_ = 0;
-};
 
 /// Final avalanche mix — exposed for tests and for composing sums.
 [[nodiscard]] constexpr std::uint64_t mix64(std::uint64_t x) {

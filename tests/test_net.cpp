@@ -1,5 +1,5 @@
-// Transport-tier tests: unit tests for the loopback and socket backends,
-// the wire framing, the streaming checksum — and the cross-backend parity
+// Transport-tier tests: unit tests for the loopback and socket backends and
+// the wire framing — and the cross-backend parity
 // suite, which pins the tentpole guarantee of the distributed simulator:
 // same seed, same workload → byte-identical final states, SuperstepCosts,
 // IoStats and fault histories on
@@ -20,7 +20,6 @@
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
 #include "test_programs.hpp"
-#include "util/checksum.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
 
@@ -35,32 +34,6 @@ using embsp::testing::RingProgram;
 std::vector<std::byte> bytes_of(std::string_view s) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
   return {p, p + s.size()};
-}
-
-// --- ChecksumStream ---------------------------------------------------------
-
-TEST(ChecksumStream, MatchesContiguousChecksumForAnyFragmentation) {
-  util::Rng rng(7);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = rng.below(300);
-    std::vector<std::byte> data(n);
-    for (auto& b : data) b = static_cast<std::byte>(rng.below(256));
-    const std::uint64_t want = util::checksum64(data);
-
-    util::ChecksumStream cs(n);
-    std::size_t off = 0;
-    while (off < n) {
-      const std::size_t len = std::min<std::size_t>(1 + rng.below(13), n - off);
-      cs.update({data.data() + off, len});
-      off += len;
-    }
-    EXPECT_EQ(cs.finish(), want) << "n=" << n;
-  }
-}
-
-TEST(ChecksumStream, EmptyMatches) {
-  util::ChecksumStream cs(0);
-  EXPECT_EQ(cs.finish(), util::checksum64({}));
 }
 
 // --- Frame encoding ---------------------------------------------------------
@@ -165,14 +138,12 @@ void exercise_ordering(std::vector<std::unique_ptr<net::Transport>>& eps) {
     ASSERT_EQ(tp.rank(), me);
     ASSERT_EQ(tp.size(), p);
     // Phase 1: rank r sends "r->q #i" to every q (self included), i = 0,1.
-    // Posted storage must stay alive until exchange() returns (the socket
-    // backend serializes fragments straight from it).
-    std::vector<std::vector<std::byte>> sent;
     for (std::uint32_t q = 0; q < p; ++q) {
       for (int i = 0; i < 2; ++i) {
-        sent.push_back(bytes_of(std::to_string(me) + "->" + std::to_string(q) +
-                                " #" + std::to_string(i)));
-        tp.post(q, std::span<const std::byte>(sent.back()));
+        const auto msg = bytes_of(std::to_string(me) + "->" +
+                                  std::to_string(q) + " #" +
+                                  std::to_string(i));
+        tp.post(q, std::span<const std::byte>(msg));
       }
     }
     auto got = tp.exchange();
@@ -329,6 +300,149 @@ TEST(SocketTransport, SlowSuperstepBetweenPostAndExchangeDoesNotTimeOut) {
   EXPECT_GT(rec.registry.gauge("net.exchange_overlap_ratio"), 0.0);
   EXPECT_LE(rec.registry.gauge("net.exchange_overlap_ratio"), 1.0);
   EXPECT_GT(rec.registry.gauge("net.link.1.max_inflight_bytes"), 0.0);
+}
+
+void exercise_copy_on_post(std::vector<std::unique_ptr<net::Transport>>& eps) {
+  const auto p = static_cast<std::uint32_t>(eps.size());
+  run_ranks(eps, [p](std::uint32_t me, net::Transport& tp) {
+    // post() copies: one buffer is refilled for every destination and
+    // scribbled over before exchange(), yet each peer gets what was posted.
+    std::vector<std::byte> buf;
+    for (std::uint32_t q = 0; q < p; ++q) {
+      buf = bytes_of(std::to_string(me) + " to " + std::to_string(q));
+      tp.post(q, std::span<const std::byte>(buf));
+      std::fill(buf.begin(), buf.end(), std::byte{0xEE});
+    }
+    const auto got = tp.exchange();
+    for (std::uint32_t src = 0; src < p; ++src) {
+      ASSERT_EQ(got[src].size(), 1u) << "src " << src;
+      EXPECT_EQ(got[src][0],
+                bytes_of(std::to_string(src) + " to " + std::to_string(me)));
+    }
+  });
+}
+
+TEST(LoopbackTransport, PostCopiesBeforeReturning) {
+  auto eps = net::make_loopback_group(3);
+  exercise_copy_on_post(eps);
+}
+
+TEST(SocketTransport, PostCopiesBeforeReturning) {
+  auto eps = make_socket_group(3, "copy");
+  exercise_copy_on_post(eps);
+}
+
+void expect_oversized_posts_rejected(
+    std::vector<std::unique_ptr<net::Transport>>& eps) {
+  // One 64 KiB buffer repeated past the cap: no large allocation needed.
+  const std::vector<std::byte> chunk(64u << 10, std::byte{0x11});
+  run_ranks(eps, [&](std::uint32_t, net::Transport& tp) {
+    // Just over the frame cap, and past 4 GiB, where a 32-bit length
+    // would wrap.
+    for (const std::uint64_t cap :
+         {std::uint64_t{net::kMaxFramePayload}, std::uint64_t{4} << 30}) {
+      std::vector<std::span<const std::byte>> frags;
+      std::uint64_t total = 0;
+      while (total <= cap) {
+        frags.emplace_back(chunk);
+        total += chunk.size();
+      }
+      for (std::uint32_t dst = 0; dst < tp.size(); ++dst) {
+        try {
+          tp.post(dst, frags);
+          FAIL() << "post of " << total << " bytes was accepted";
+        } catch (const net::MessageTooLargeError& e) {
+          EXPECT_EQ(e.kind(), em::IoError::Kind::persistent);
+          EXPECT_NE(std::string(e.what()).find(std::to_string(total)),
+                    std::string::npos)
+              << e.what();
+        }
+      }
+    }
+    // Nothing was queued: the phase delivers no message and no link
+    // counted a frame.
+    const auto got = tp.exchange();
+    for (const auto& from : got) EXPECT_TRUE(from.empty());
+    obs::Recorder rec;
+    tp.export_metrics(rec.registry);
+    for (std::uint32_t q = 0; q < tp.size(); ++q) {
+      EXPECT_EQ(rec.registry.counter("net.link." + std::to_string(q) +
+                                     ".frames_sent"),
+                0u);
+    }
+  });
+}
+
+TEST(LoopbackTransport, RejectsOversizedPostsAtTheSender) {
+  auto eps = net::make_loopback_group(2);
+  expect_oversized_posts_rejected(eps);
+}
+
+TEST(SocketTransport, RejectsOversizedPostsAtTheSender) {
+  auto eps = make_socket_group(2, "oversize");
+  expect_oversized_posts_rejected(eps);
+}
+
+TEST(SocketTransport, CoalescesSmallFramesUpToThePumpThreshold) {
+  // Every rank posts 512-byte frames to both peers with progress() after
+  // each post.  Below 64 KiB of backlog progress() sends nothing, so the
+  // small phase (2 x 40 frames of 536 wire bytes) drains entirely inside
+  // exchange(); the large phase crosses the threshold many times and
+  // drains part of its bytes from progress().
+  constexpr std::uint32_t kSmall = 40;
+  constexpr std::uint32_t kLarge = 3000;
+  const auto block = [](std::uint32_t src, std::uint32_t dst,
+                        std::uint32_t i) {
+    std::vector<std::byte> b(512);
+    for (std::size_t k = 0; k < b.size(); ++k) {
+      b[k] = static_cast<std::byte>(src * 131 + dst * 17 + i * 7 + k);
+    }
+    std::memcpy(b.data(), &i, sizeof(i));
+    return b;
+  };
+  auto eps = make_socket_group(3, "pump");
+  std::vector<double> small_overlap(eps.size(), -1.0);
+  run_ranks(eps, [&](std::uint32_t me, net::Transport& tp) {
+    const auto phase = [&](std::uint32_t n) {
+      for (std::uint32_t i = 0; i < n; ++i) {
+        for (std::uint32_t q = 0; q < tp.size(); ++q) {
+          if (q == me) continue;
+          tp.post(q, std::span<const std::byte>(block(me, q, i)));
+          tp.progress();
+        }
+      }
+      const auto got = tp.exchange();
+      for (std::uint32_t src = 0; src < tp.size(); ++src) {
+        if (src == me) continue;
+        ASSERT_EQ(got[src].size(), n) << "src " << src;
+        std::uint32_t wrong = 0;
+        for (std::uint32_t i = 0; i < n; ++i) {
+          wrong += got[src][i] != block(src, me, i) ? 1 : 0;
+        }
+        EXPECT_EQ(wrong, 0u) << "frames out of order or corrupted from "
+                             << src;
+      }
+    };
+    phase(kSmall);
+    obs::Recorder rec;
+    tp.export_metrics(rec.registry);
+    small_overlap[me] = rec.registry.gauge("net.exchange_overlap_ratio");
+    phase(kLarge);
+  });
+  for (std::uint32_t r = 0; r < eps.size(); ++r) {
+    EXPECT_EQ(small_overlap[r], 0.0) << "rank " << r;
+    obs::Recorder rec;
+    eps[r]->export_metrics(rec.registry);
+    EXPECT_GT(rec.registry.gauge("net.exchange_overlap_ratio"), 0.0)
+        << "rank " << r;
+    for (std::uint32_t q = 0; q < eps.size(); ++q) {
+      if (q == r) continue;
+      EXPECT_EQ(rec.registry.counter("net.link." + std::to_string(q) +
+                                     ".frames_sent"),
+                kSmall + kLarge)
+          << "rank " << r << " link " << q;
+    }
+  }
 }
 
 // --- Cross-backend parity ----------------------------------------------------
