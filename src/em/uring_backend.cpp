@@ -1,5 +1,6 @@
 #include "em/uring_backend.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -79,6 +80,22 @@ unsigned load_acquire(const unsigned* p) {
 }
 void store_release(unsigned* p, unsigned v) {
   __atomic_store_n(p, v, __ATOMIC_RELEASE);
+}
+
+/// Calls copy(ptr, at, len) for each piece of the file-contiguous buffer
+/// list `bufs` that falls in run bytes [from, from + n): `ptr` points into
+/// the buffer, `at` is the piece's offset from `from`.
+template <class Byte, class Copy>
+void for_each_piece(std::span<const std::span<Byte>> bufs, std::size_t from,
+                    std::size_t n, Copy&& copy) {
+  std::size_t pos = 0;
+  for (const auto& b : bufs) {
+    if (pos >= from + n) break;
+    const std::size_t lo = std::max(pos, from);
+    const std::size_t hi = std::min(pos + b.size(), from + n);
+    if (lo < hi) copy(b.data() + (lo - pos), lo - from, hi - lo);
+    pos += b.size();
+  }
 }
 
 }  // namespace
@@ -360,65 +377,84 @@ struct UringBackend::Impl {
   }
 
   // --- O_DIRECT staging paths ---------------------------------------------
-  // Unaligned transfers bounce through `staging` in aligned chunks; the
-  // read-modify-write on the edges preserves neighbouring bytes exactly
-  // like a buffered write would.
+  // A file-contiguous run of buffers that O_DIRECT cannot take as-is bounces
+  // through `staging` in aligned chunks, one SQE per chunk, so a coalesced
+  // run of N tracks costs ceil(bytes / staging_len) device requests rather
+  // than N.  Only the run's first and last alignment unit can be partial;
+  // writes read-modify-write just those, preserving neighbouring bytes
+  // exactly like a buffered write would.
 
-  void staged_read(std::uint64_t offset, std::span<std::byte> dst) {
+  /// Bounds of the next chunk of a run: `n` run bytes starting `within`
+  /// bytes into the aligned chunk [c0, c0 + chunk).
+  struct Chunk {
+    std::uint64_t c0;
+    std::size_t within;
+    std::size_t n;
+    std::size_t chunk;
+  };
+
+  [[nodiscard]] Chunk next_chunk(std::uint64_t pos, std::size_t left) const {
     const std::size_t a = cfg.alignment;
-    std::size_t done = 0;
-    while (done < dst.size()) {
-      const std::uint64_t pos = offset + done;
-      const std::uint64_t c0 = pos / a * a;
-      const std::size_t within = static_cast<std::size_t>(pos - c0);
-      const std::size_t want = std::min<std::size_t>(
-          staging_len - within, dst.size() - done + within);
-      const std::size_t chunk = (want + a - 1) / a * a;
-      std::vector<Unit> u{{c0, static_cast<std::byte*>(staging), nullptr,
-                           chunk}};
+    const std::uint64_t c0 = pos / a * a;
+    const auto within = static_cast<std::size_t>(pos - c0);
+    const std::size_t n = std::min(left, staging_len - within);
+    return {c0, within, n, (within + n + a - 1) / a * a};
+  }
+
+  void staged_read(std::uint64_t offset,
+                   std::span<const std::span<std::byte>> dsts,
+                   std::size_t total) {
+    auto* stage = static_cast<std::byte*>(staging);
+    for (std::size_t done = 0; done < total;) {
+      const Chunk c = next_chunk(offset + done, total - done);
+      std::vector<Unit> u{{c.c0, stage, nullptr, c.chunk}};
       run_wave(u, /*is_read=*/true);
-      const std::size_t n = std::min(dst.size() - done, chunk - within);
-      std::memcpy(dst.data() + done, static_cast<std::byte*>(staging) + within,
-                  n);
-      stats.bounced_bytes += n;
-      done += n;
+      for_each_piece(dsts, done, c.n,
+                     [&](std::byte* p, std::size_t at, std::size_t len) {
+                       std::memcpy(p, stage + c.within + at, len);
+                     });
+      stats.bounced_bytes += c.n;
+      done += c.n;
     }
   }
 
-  void staged_write(std::uint64_t offset, std::span<const std::byte> src) {
+  void staged_write(std::uint64_t offset,
+                    std::span<const std::span<const std::byte>> srcs,
+                    std::size_t total) {
     const std::size_t a = cfg.alignment;
-    std::size_t done = 0;
-    while (done < src.size()) {
-      const std::uint64_t pos = offset + done;
-      const std::uint64_t c0 = pos / a * a;
-      const std::size_t within = static_cast<std::size_t>(pos - c0);
-      const std::size_t want = std::min<std::size_t>(
-          staging_len - within, src.size() - done + within);
-      const std::size_t chunk = (want + a - 1) / a * a;
-      // Edge blocks may carry neighbouring live data: read-modify-write
-      // whenever the chunk extends past the source slice into territory the
-      // file has ever covered.
-      const std::uint64_t logical = size.load(std::memory_order_relaxed);
-      const std::uint64_t covered = (logical + a - 1) / a * a;
-      const bool partial = within != 0 || (chunk - within) > src.size() - done;
-      if (partial && c0 < covered) {
-        std::vector<Unit> u{{c0, static_cast<std::byte*>(staging), nullptr,
-                             chunk}};
-        run_wave(u, /*is_read=*/true);
-        stats.bounced_bytes += chunk;
-      } else {
-        std::memset(staging, 0, chunk);
+    auto* stage = static_cast<std::byte*>(staging);
+    // Edge units the file has ever covered carry live neighbouring bytes;
+    // past the high-water they read as zero (sparse-file semantics).
+    const std::uint64_t logical = size.load(std::memory_order_relaxed);
+    const std::uint64_t covered = (logical + a - 1) / a * a;
+    for (std::size_t done = 0; done < total;) {
+      const Chunk c = next_chunk(offset + done, total - done);
+      const bool head = c.within != 0;
+      const bool tail = c.within + c.n < c.chunk;
+      const std::uint64_t last = c.c0 + c.chunk - a;
+      std::vector<Unit> edges;
+      if (head && c.c0 < covered) edges.push_back({c.c0, stage, nullptr, a});
+      if (tail && last < covered && !(head && last == c.c0)) {
+        edges.push_back({last, stage + c.chunk - a, nullptr, a});
       }
-      const std::size_t n = std::min(src.size() - done, chunk - within);
-      std::memcpy(static_cast<std::byte*>(staging) + within, src.data() + done,
-                  n);
-      stats.bounced_bytes += n;
-      std::vector<Unit> w{{c0, nullptr,
-                           static_cast<const std::byte*>(staging), chunk}};
+      if (!edges.empty()) {
+        run_wave(edges, /*is_read=*/true);
+        stats.bounced_bytes += edges.size() * a;
+      }
+      if (head && c.c0 >= covered) std::memset(stage, 0, c.within);
+      if (tail && last >= covered) {
+        std::memset(stage + c.within + c.n, 0, c.chunk - c.within - c.n);
+      }
+      for_each_piece(srcs, done, c.n,
+                     [&](const std::byte* p, std::size_t at, std::size_t len) {
+                       std::memcpy(stage + c.within + at, p, len);
+                     });
+      stats.bounced_bytes += c.n;
+      std::vector<Unit> w{{c.c0, nullptr, stage, c.chunk}};
       run_wave(w, /*is_read=*/false);
-      done += n;
+      done += c.n;
     }
-    bump_size(offset + src.size());
+    bump_size(offset + total);
   }
 };
 
@@ -510,7 +546,7 @@ void UringBackend::read(std::uint64_t offset, std::span<std::byte> dst) {
   Impl& s = *impl_;
   std::lock_guard<std::mutex> lock(s.m);
   if (s.direct && !s.aligned(offset, dst.data(), dst.size())) {
-    s.staged_read(offset, dst);
+    s.staged_read(offset, {&dst, 1}, dst.size());
     return;
   }
   std::vector<Impl::Unit> u{{offset, dst.data(), nullptr, dst.size()}};
@@ -522,7 +558,7 @@ void UringBackend::write(std::uint64_t offset, std::span<const std::byte> src) {
   Impl& s = *impl_;
   std::lock_guard<std::mutex> lock(s.m);
   if (s.direct && !s.aligned(offset, src.data(), src.size())) {
-    s.staged_write(offset, src);
+    s.staged_write(offset, {&src, 1}, src.size());
     return;
   }
   std::vector<Impl::Unit> u{{offset, nullptr, src.data(), src.size()}};
@@ -547,8 +583,8 @@ void UringBackend::read_vec(std::uint64_t offset,
   }
   if (units.empty()) return;
   if (!ok) {
-    // O_DIRECT with unaligned pieces: bounce each buffer individually.
-    for (const auto& u : units) s.staged_read(u.offset, {u.dst, u.len});
+    // O_DIRECT with unaligned pieces: the whole run bounces at once.
+    s.staged_read(offset, dsts, static_cast<std::size_t>(pos - offset));
     return;
   }
   s.run_wave(units, /*is_read=*/true);
@@ -573,7 +609,7 @@ void UringBackend::write_vec(std::uint64_t offset,
   }
   if (units.empty()) return;
   if (!ok) {
-    for (const auto& u : units) s.staged_write(u.offset, {u.src, u.len});
+    s.staged_write(offset, srcs, static_cast<std::size_t>(total));
     return;
   }
   s.run_wave(units, /*is_read=*/false);

@@ -8,11 +8,11 @@
 //   * scalar read()/write()    — one IORING_OP_READ / IORING_OP_WRITE SQE,
 //                                one io_uring_enter(GETEVENTS);
 //   * read_vec()/write_vec()   — one SQE per buffer at consecutive offsets,
-//                                submitted as a single wave and reaped with
-//                                one enter, so a coalesced run of adjacent
-//                                tracks costs one syscall like preadv —
-//                                but, unlike preadv, the wave survives
-//                                O_DIRECT splitting and scales past IOV_MAX;
+//                                submitted as waves of up to the ring size
+//                                and reaped with one enter each, so a
+//                                coalesced run of adjacent tracks costs one
+//                                syscall per wave like preadv, and scales
+//                                past IOV_MAX;
 //   * flush()                  — an IORING_OP_FSYNC (datasync) SQE.
 //
 // Fixed buffers: register_buffers() hands bump-allocated arenas (or any
@@ -24,11 +24,15 @@
 // O_DIRECT: with UringConfig::direct the file is opened O_DIRECT and reads
 // and writes bypass the page cache, so benches measure device behavior.
 // Direct I/O requires offset, length and buffer address aligned to
-// `alignment` (4096 covers every mainstream filesystem); transfers that
-// are not aligned bounce through an internal aligned staging buffer —
-// track-size-aligned reads-modify-writes for unaligned edges — which keeps
-// the Backend byte-semantics identical to FileBackend at a copy cost
-// recorded in UringBackendStats::bounced_bytes.  Filesystems that reject
+// `alignment` (4096 covers every mainstream filesystem).  A transfer that
+// is not aligned bounces through an internal aligned 1 MiB staging buffer,
+// and a vectored run bounces whole: its file-contiguous buffers are
+// gathered into (or scattered out of) aligned chunks, one SQE and one
+// enter per chunk, so a run of N tracks costs ceil(bytes / 1 MiB) device
+// requests, not N.  Writes read-modify-write only the run's unaligned
+// first and last alignment unit.  This keeps the Backend byte-semantics
+// identical to FileBackend at a copy cost recorded in
+// UringBackendStats::bounced_bytes.  Filesystems that reject
 // O_DIRECT (tmpfs) degrade gracefully: the open retries without the flag
 // and direct_io() reports false.
 //

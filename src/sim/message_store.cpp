@@ -8,6 +8,19 @@
 
 namespace embsp::sim {
 
+namespace {
+
+/// Order a batch by (disk, track): DiskArray runs each disk's ops in list
+/// order, so ascending tracks let its coalescer merge adjacent ones.
+template <class Op>
+void sort_by_track(std::vector<Op>& ops) {
+  std::sort(ops.begin(), ops.end(), [](const Op& a, const Op& b) {
+    return a.disk != b.disk ? a.disk < b.disk : a.track < b.track;
+  });
+}
+
+}  // namespace
+
 MessageStore::MessageStore(em::DiskArray& disks, em::TrackAllocators& alloc,
                            MessageStoreConfig cfg)
     : disks_(&disks),
@@ -405,88 +418,117 @@ RoutingStats MessageStore::reorganize(util::Rng& rng) {
     }
   }
 
+  // Both passes run in windows of W consecutive D-block cycles: one batched
+  // read and one batched write per window, each declared at the cycles the
+  // window spans, so IoStats and RoutingStats equal the per-cycle
+  // schedule's.  W is what the routing budget holds of D-block cycles, so a
+  // window's staging never exceeds the memory M leaves beside the contexts.
+  const std::uint64_t window = std::max<std::uint64_t>(
+      1, cfg_.memory_budget_bytes /
+             (static_cast<std::uint64_t>(num_disks_) * block_size_));
+  std::vector<std::byte> buf;
+  std::vector<em::ReadOp> reads;
+  std::vector<em::WriteOp> writes;
+  auto block_at = [&](std::size_t i) {
+    return std::span<std::byte>(buf).subspan(i * block_size_, block_size_);
+  };
+
   // ---- Step 1: copy bucket d onto disk d, staggered reads --------------
   //   "Read block b_d belonging to bucket d from disk ((d+j) mod D).
   //    Write block b_d to disk d on the next available track."
+  // A window pops its cycles' chain tracks in the stagger order and assigns
+  // consolidated slots in that same (j, d) order, so slots and the released
+  // tracks' free-list order match the per-cycle schedule exactly.
   std::vector<std::uint64_t> next_in_group = base;  // next consolidated slot
-  std::vector<std::byte> buf(static_cast<std::size_t>(num_disks_) *
-                             block_size_);
-  std::vector<em::ReadOp> reads;
-  std::vector<em::WriteOp> writes;
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> popped;
-  for (std::uint64_t j = 0;; ++j) {
-    reads.clear();
+  struct Popped {
+    std::uint32_t bucket;
+    std::uint32_t disk;
+    std::uint64_t track;
+  };
+  std::vector<Popped> popped;
+  bool drained = false;
+  for (std::uint64_t j = 0; !drained;) {
     popped.clear();
-    std::vector<std::uint32_t> read_buckets;
-    for (std::uint32_t d = 0; d < num_disks_; ++d) {
-      const auto src_disk =
-          static_cast<std::uint32_t>((d + j) % num_disks_);
-      if (auto track = buckets_.pop_track(d, src_disk)) {
-        reads.push_back({src_disk, *track,
-                         std::span<std::byte>(buf).subspan(
-                             reads.size() * block_size_, block_size_)});
-        popped.emplace_back(src_disk, *track);
-        read_buckets.push_back(d);
-      }
-    }
-    if (reads.empty()) {
-      // All chains a full stagger cycle can see are empty only when every
-      // chain is empty; confirm before stopping.
-      bool empty = true;
-      for (std::uint32_t q = 0; q < num_disks_ && empty; ++q) {
-        for (std::uint32_t d = 0; d < num_disks_ && empty; ++d) {
-          if (buckets_.blocks_on_disk(q, d) != 0) empty = false;
+    std::uint64_t cycles = 0;
+    while (cycles < window) {
+      const std::size_t before = popped.size();
+      for (std::uint32_t d = 0; d < num_disks_; ++d) {
+        const auto src_disk =
+            static_cast<std::uint32_t>((d + j) % num_disks_);
+        if (auto track = buckets_.pop_track(d, src_disk)) {
+          popped.push_back({d, src_disk, *track});
         }
       }
-      if (empty) break;
-      continue;  // this stagger offset found nothing; advance j
+      ++j;
+      if (popped.size() > before) {
+        ++cycles;
+        continue;
+      }
+      // All chains a full stagger cycle can see are empty only when every
+      // chain is empty; confirm before stopping.  Otherwise this stagger
+      // offset found nothing and costs no I/O.
+      drained = true;
+      for (std::uint32_t q = 0; q < num_disks_ && drained; ++q) {
+        for (std::uint32_t d = 0; d < num_disks_ && drained; ++d) {
+          if (buckets_.blocks_on_disk(q, d) != 0) drained = false;
+        }
+      }
+      if (drained) break;
     }
-    disks_->parallel_read(reads);
-    stats.step1_cycles += 1;
+    if (cycles == 0) break;
+    buf.resize(popped.size() * block_size_);
+    reads.clear();
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+      reads.push_back({popped[i].disk, popped[i].track, block_at(i)});
+    }
+    sort_by_track(reads);
+    disks_->parallel_read_batch(reads, cycles);
+    stats.step1_cycles += cycles;
     writes.clear();
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      const std::uint32_t d = read_buckets[i];
-      auto block = std::span<const std::byte>(buf).subspan(i * block_size_,
-                                                           block_size_);
-      const BlockHeader h = parse_header(block);
+    for (std::size_t i = 0; i < popped.size(); ++i) {
+      const std::uint32_t d = popped[i].bucket;
+      const BlockHeader h = parse_header(block_at(i));
       const std::uint64_t t = next_in_group[h.dst_group]++;
-      writes.push_back({d, consolidation_start_[d] + t, block});
-      buckets_.release_track(popped[i].first, popped[i].second);
+      writes.push_back({d, consolidation_start_[d] + t, block_at(i)});
+      buckets_.release_track(popped[i].disk, popped[i].track);
     }
-    disks_->parallel_write(writes);
+    sort_by_track(writes);
+    disks_->parallel_write_batch(writes, cycles);
   }
 
   // ---- Step 2: re-stripe each bucket across the disks -------------------
   //   "read the j-th block from disk d and write it to disk (d+j) mod D on
   //    track d*ceil(cap/D) + floor(j/D)."
+  // Every cycle j < max_t reads at least the longest bucket, so a window
+  // [j0, j1) costs j1 - j0 cycles; its reads are consecutive tracks per
+  // bucket and its writes consecutive arena tracks per (bucket, disk).
   std::vector<std::uint64_t> bucket_total(num_disks_, 0);
   for (std::uint32_t g = 0; g < cfg_.num_groups; ++g) {
     bucket_total[bucket_of_group(g)] += staged_count_[g];
   }
   const std::uint64_t max_t =
       *std::max_element(bucket_total.begin(), bucket_total.end());
-  for (std::uint64_t j = 0; j < max_t; ++j) {
-    reads.clear();
-    std::vector<std::uint32_t> read_buckets;
+  for (std::uint64_t j0 = 0; j0 < max_t; j0 += window) {
+    const std::uint64_t j1 = std::min(max_t, j0 + window);
+    std::size_t held = 0;
     for (std::uint32_t d = 0; d < num_disks_; ++d) {
-      if (j >= bucket_total[d]) continue;
-      reads.push_back({d, consolidation_start_[d] + j,
-                       std::span<std::byte>(buf).subspan(
-                           reads.size() * block_size_, block_size_)});
-      read_buckets.push_back(d);
+      held += std::min(j1, std::max(j0, bucket_total[d])) - j0;
     }
-    if (reads.empty()) break;
-    disks_->parallel_read(reads);
+    buf.resize(held * block_size_);
+    reads.clear();
     writes.clear();
-    for (std::size_t i = 0; i < reads.size(); ++i) {
-      const std::uint32_t d = read_buckets[i];
-      const auto [disk, track] = arena_location(d, j);
-      writes.push_back({disk, track,
-                        std::span<const std::byte>(buf).subspan(
-                            i * block_size_, block_size_)});
+    for (std::uint32_t d = 0; d < num_disks_; ++d) {
+      for (std::uint64_t j = j0; j < std::min(j1, bucket_total[d]); ++j) {
+        const auto slot = block_at(reads.size());
+        reads.push_back({d, consolidation_start_[d] + j, slot});
+        const auto [disk, track] = arena_location(d, j);
+        writes.push_back({disk, track, slot});
+      }
     }
-    disks_->parallel_write(writes);
-    stats.step2_cycles += 1;
+    sort_by_track(writes);
+    disks_->parallel_read_batch(reads, j1 - j0);
+    disks_->parallel_write_batch(writes, j1 - j0);
+    stats.step2_cycles += j1 - j0;
   }
 
   // Hand the reorganized layout to the fetch side and reset staging.  The

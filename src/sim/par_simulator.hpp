@@ -157,13 +157,18 @@ SimResult ParSimulator::run(
 
   // --- Coordinated recovery state (cfg_.superstep_recovery) ---------------
   // A worker that exhausts its retry budget (or fails a checksum) no longer
-  // aborts the run: it raises `step_failed`, fast-forwards the remaining
-  // barrier arrivals of the current recovery unit, and at the unit's
-  // verdict barrier *all* processors roll back to the last committed epoch
-  // and re-execute, bounded by cfg_.max_superstep_retries.  The barrier is
-  // the commit point: context epochs commit only on a unanimous verdict.
+  // aborts the run: it raises its unit's failure flag, fast-forwards the
+  // remaining barrier arrivals of the current recovery unit, and at the
+  // unit's verdict barrier *all* processors roll back to the last committed
+  // epoch and re-execute, bounded by cfg_.max_superstep_retries.  The
+  // barrier is the commit point: context epochs commit only on a unanimous
+  // verdict.  Each unit kind has its own flag: no barrier separates the
+  // body's verdict from the reorganize that follows it, so a fast worker
+  // may already raise the reorganize flag while a slow one still reads the
+  // body verdict.
   const bool coordinated = cfg_.superstep_recovery;
-  std::atomic<bool> step_failed{false};
+  std::atomic<bool> body_failed{false};
+  std::atomic<bool> reorganize_failed{false};
   std::atomic<std::uint64_t> superstep_rollbacks{0};
   std::atomic<std::uint64_t> reorganize_rollbacks{0};
 
@@ -688,19 +693,19 @@ SimResult ParSimulator::run(
               // a checksum failed).  Flag the step, quiesce, and make the
               // remaining barrier arrivals of the body without doing work.
               unit_error = std::current_exception();
-              step_failed.store(true);
+              body_failed.store(true);
               worker_quiesce();
               for (; body_syncs < body_sync_total; ++body_syncs) sync();
             } catch (...) {
               // Secondary failure: another worker's flagged failure starved
               // this one of mail mid-body (e.g. an incomplete reassembly).
               // Only tolerable when the step is already marked failed.
-              if (!step_failed.load()) throw;
+              if (!body_failed.load()) throw;
               worker_quiesce();
               for (; body_syncs < body_sync_total; ++body_syncs) sync();
             }
             sync();  // verdict barrier — the elected commit point
-            if (!step_failed.load()) {
+            if (!body_failed.load()) {
               if (self.contexts->journaled()) self.contexts->commit_epoch();
               break;
             }
@@ -726,7 +731,7 @@ SimResult ParSimulator::run(
             }
             sync();
             if (me == 0) {
-              step_failed.store(false);
+              body_failed.store(false);
               {
                 std::lock_guard<std::mutex> lock(cost_mutex);
                 step_cost = bsp::SuperstepCost{};
@@ -764,14 +769,14 @@ SimResult ParSimulator::run(
               throw;
             } catch (const em::IoError&) {
               unit_error = std::current_exception();
-              step_failed.store(true);
+              reorganize_failed.store(true);
               worker_quiesce();
             } catch (...) {
-              if (!step_failed.load()) throw;
+              if (!reorganize_failed.load()) throw;
               worker_quiesce();
             }
             sync();  // verdict barrier
-            if (!step_failed.load()) break;
+            if (!reorganize_failed.load()) break;
             worker_quiesce();
             self.rng = rng_ckpt;
             self.alloc->restore(alloc_ckpt);
@@ -782,7 +787,7 @@ SimResult ParSimulator::run(
             }
             sync();
             if (me == 0) {
-              step_failed.store(false);
+              reorganize_failed.store(false);
               reorganize_rollbacks.fetch_add(1);
               record_rollback(rec, "reorganize", me);
             }

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <map>
+#include <memory>
 
 #include "em/disk_array.hpp"
 #include "em/io_error.hpp"
@@ -429,6 +430,119 @@ TEST_P(MessageStoreTest, CapacityOverflowDiagnosed) {
   EXPECT_THROW(store.write_messages(
                    msgs, [](std::uint32_t) { return 0u; }, rng),
                std::runtime_error);
+}
+
+// Windowed Algorithm 2: reorganize batches W D-block cycles per parallel
+// read/write pair, W = max(1, memory_budget_bytes / (D*B)).  Whatever the
+// window, slots, model costs and the disk image must equal the per-cycle
+// schedule (W = 1).
+struct WindowRig {
+  static constexpr std::uint32_t kD = 3;
+  static constexpr std::size_t kB = 128;
+  static constexpr std::uint32_t kGroups = 6;
+
+  static MessageStoreConfig config(RoutingMode mode, std::uint64_t budget) {
+    MessageStoreConfig cfg;
+    cfg.num_groups = kGroups;
+    cfg.group_capacity_blocks = 40;
+    cfg.mode = mode;
+    cfg.memory_budget_bytes = budget;
+    return cfg;
+  }
+
+  WindowRig(RoutingMode mode, std::uint64_t budget)
+      : disks(kD, kB), alloc(kD), store(disks, alloc, config(mode, budget)) {}
+
+  em::DiskArray disks;
+  em::TrackAllocators alloc;
+  MessageStore store;
+  util::Rng rng{31};
+};
+
+TEST_P(MessageStoreTest, WindowedReorganizeMatchesPerCycleSchedule) {
+  constexpr std::uint64_t kCycleBytes = WindowRig::kD * WindowRig::kB;
+  // W = 1, W = 3, and one window holding every cycle.
+  std::vector<std::unique_ptr<WindowRig>> rigs;
+  for (const std::uint64_t budget :
+       {std::uint64_t{0}, 3 * kCycleBytes + kCycleBytes / 2,
+        std::uint64_t{1} << 40}) {
+    rigs.push_back(std::make_unique<WindowRig>(GetParam(), budget));
+  }
+  const auto group_of = [](std::uint32_t dst) { return dst / 4; };
+  // Three supersteps: later ones reuse the chain tracks released earlier.
+  for (std::uint32_t superstep = 0; superstep < 3; ++superstep) {
+    std::vector<bsp::Message> msgs;
+    for (std::uint32_t i = 0; i < 84; ++i) {
+      msgs.push_back(make_msg(i % 17, (i * 7 + superstep) % 24,
+                              superstep * 1000 + i, (i * 13) % 150));
+    }
+    std::vector<RoutingStats> stats;
+    for (auto& r : rigs) {
+      r->store.write_messages(msgs, group_of, r->rng);
+      r->store.flush(r->rng);
+      const em::IoStats before = r->disks.stats();
+      stats.push_back(r->store.reorganize(r->rng));
+      // One read and one write per cycle (padded mode also flushes its
+      // dummy blocks inside reorganize).
+      if (GetParam() != RoutingMode::padded) {
+        EXPECT_EQ(r->disks.stats().since(before).parallel_ios,
+                  2 * (stats.back().step1_cycles + stats.back().step2_cycles));
+      }
+    }
+    // Step 2 spends one cycle per block of the longest bucket (two groups
+    // per bucket here).
+    std::uint64_t longest = 0;
+    for (std::uint32_t g = 0; g < WindowRig::kGroups; g += 2) {
+      longest = std::max(longest, rigs[0]->store.group_blocks(g) +
+                                      rigs[0]->store.group_blocks(g + 1));
+    }
+    EXPECT_EQ(stats[0].step2_cycles, longest);
+    // W = 3 must leave a partial last window in both passes.
+    EXPECT_NE(stats[0].step1_cycles % 3, 0u) << "superstep " << superstep;
+    EXPECT_NE(stats[0].step2_cycles % 3, 0u) << "superstep " << superstep;
+    for (std::uint32_t g = 0; g < WindowRig::kGroups; ++g) {
+      const auto want = rigs[0]->store.fetch_group(g);
+      for (std::size_t r = 1; r < rigs.size(); ++r) {
+        const auto got = rigs[r]->store.fetch_group(g);
+        ASSERT_EQ(got.size(), want.size()) << "rig " << r << " group " << g;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].src, want[i].src);
+          EXPECT_EQ(got[i].dst, want[i].dst);
+          EXPECT_EQ(got[i].seq, want[i].seq);
+          EXPECT_EQ(got[i].payload, want[i].payload);
+        }
+      }
+    }
+    for (std::size_t r = 1; r < rigs.size(); ++r) {
+      SCOPED_TRACE("rig " + std::to_string(r) + ", superstep " +
+                   std::to_string(superstep));
+      EXPECT_EQ(stats[r].blocks_total, stats[0].blocks_total);
+      EXPECT_EQ(stats[r].dummy_blocks, stats[0].dummy_blocks);
+      EXPECT_EQ(stats[r].step1_cycles, stats[0].step1_cycles);
+      EXPECT_EQ(stats[r].step2_cycles, stats[0].step2_cycles);
+      EXPECT_EQ(stats[r].max_chain, stats[0].max_chain);
+      const em::IoStats& a = rigs[0]->disks.stats();
+      const em::IoStats& b = rigs[r]->disks.stats();
+      EXPECT_EQ(b.parallel_ios, a.parallel_ios);
+      EXPECT_EQ(b.blocks_read, a.blocks_read);
+      EXPECT_EQ(b.blocks_written, a.blocks_written);
+      EXPECT_EQ(b.bytes_read, a.bytes_read);
+      EXPECT_EQ(b.bytes_written, a.bytes_written);
+      std::vector<std::byte> ta(WindowRig::kB), tb(WindowRig::kB);
+      for (std::uint32_t d = 0; d < WindowRig::kD; ++d) {
+        em::Disk& da = rigs[0]->disks.disk(d);
+        em::Disk& db = rigs[r]->disks.disk(d);
+        EXPECT_EQ(db.reads(), da.reads()) << "disk " << d;
+        EXPECT_EQ(db.writes(), da.writes()) << "disk " << d;
+        ASSERT_EQ(db.tracks_used(), da.tracks_used()) << "disk " << d;
+        for (std::uint64_t t = 0; t < da.tracks_used(); ++t) {
+          da.peek_track(t, ta, da.backend());
+          db.peek_track(t, tb, db.backend());
+          ASSERT_EQ(tb, ta) << "disk " << d << " track " << t;
+        }
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Modes, MessageStoreTest,

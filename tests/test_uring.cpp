@@ -7,6 +7,7 @@
 // ctest label `uring` marks the suite so CI can surface skip counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <random>
@@ -171,6 +172,127 @@ TEST(UringBackend, DirectIoUnalignedWritePastEof) {
     ASSERT_EQ(out[i], std::byte{0}) << "at " << i;
   }
   EXPECT_EQ(b.size(), 5100u);
+}
+
+// --- O_DIRECT runs: one bounce per staging chunk, not per buffer -----------
+
+constexpr std::size_t kTrack = 4096;
+constexpr std::size_t kStaging = std::size_t{1} << 20;  // backend's bounce
+
+/// `n` buffers of `len` bytes carved from `storage` at an address that is
+/// 8 bytes past a 4 KiB boundary, so O_DIRECT must bounce every one.
+template <class Span>
+std::vector<Span> misaligned_run(std::vector<std::byte>& storage,
+                                 std::size_t n, std::size_t len) {
+  storage.assign(n * len + 2 * kTrack, std::byte{0xFF});
+  const auto addr = reinterpret_cast<std::uintptr_t>(storage.data());
+  std::byte* p = storage.data() + (kTrack - addr % kTrack) % kTrack + 8;
+  std::vector<Span> run;
+  for (std::size_t i = 0; i < n; ++i) run.emplace_back(p + i * len, len);
+  return run;
+}
+
+std::uint64_t enters(const UringBackend& b) { return b.uring_stats().enters; }
+
+TEST(UringBackend, DirectRunBouncesPerChunk) {
+  SKIP_WITHOUT_URING();
+  UringConfig cfg;
+  cfg.direct = true;
+  UringBackend u(temp_path("embsp_uring_run_u.bin"), false, cfg);
+  FileBackend f(temp_path("embsp_uring_run_f.bin"));
+  // ~300 aligned tracks: longer than the staging buffer, so two chunks.
+  constexpr std::size_t kTracks = 300;
+  constexpr std::uint64_t kOffset = 5 * kTrack;
+  const std::uint64_t chunks = (kTracks * kTrack + kStaging - 1) / kStaging;
+  const auto data = pattern(kTracks * kTrack, 77);
+  std::vector<std::byte> src_store;
+  auto srcs = misaligned_run<std::span<const std::byte>>(src_store, kTracks,
+                                                         kTrack);
+  for (std::size_t i = 0; i < kTracks; ++i) {
+    std::memcpy(const_cast<std::byte*>(srcs[i].data()),
+                data.data() + i * kTrack, kTrack);
+  }
+  auto before = enters(u);
+  u.write_vec(kOffset, srcs);
+  if (u.direct_io()) {
+    EXPECT_EQ(enters(u) - before, chunks);
+  }
+  f.write_vec(kOffset, srcs);
+  EXPECT_EQ(u.size(), f.size());
+
+  std::vector<std::byte> dst_store;
+  auto dsts = misaligned_run<std::span<std::byte>>(dst_store, kTracks, kTrack);
+  before = enters(u);
+  u.read_vec(kOffset, dsts);
+  if (u.direct_io()) {
+    EXPECT_EQ(enters(u) - before, chunks);
+  }
+  for (std::size_t i = 0; i < kTracks; ++i) {
+    ASSERT_EQ(0, std::memcmp(dsts[i].data(), data.data() + i * kTrack, kTrack))
+        << "track " << i;
+  }
+  // Whole images agree with FileBackend, including the unwritten head.
+  std::vector<std::byte> a(kOffset + data.size()), b(a.size());
+  u.read(0, a);
+  f.read(0, b);
+  EXPECT_EQ(a, b);
+}
+
+TEST(UringBackend, DirectRunAtUnalignedOffsetKeepsNeighbours) {
+  SKIP_WITHOUT_URING();
+  UringConfig cfg;
+  cfg.direct = true;
+  UringBackend u(temp_path("embsp_uring_run_rmw_u.bin"), false, cfg);
+  FileBackend f(temp_path("embsp_uring_run_rmw_f.bin"));
+  const auto base = pattern(8 * kTrack, 80);
+  u.write(0, base);
+  f.write(0, base);
+  // 20 buffers of 512 bytes from byte 4096 + 300: both ends of the run sit
+  // inside live alignment units.
+  constexpr std::size_t kPieces = 20, kPiece = 512;
+  constexpr std::uint64_t kOffset = kTrack + 300;
+  const auto patch = pattern(kPieces * kPiece, 81);
+  std::vector<std::byte> store;
+  auto srcs = misaligned_run<std::span<const std::byte>>(store, kPieces,
+                                                         kPiece);
+  for (std::size_t i = 0; i < kPieces; ++i) {
+    std::memcpy(const_cast<std::byte*>(srcs[i].data()),
+                patch.data() + i * kPiece, kPiece);
+  }
+  const auto bounced = u.uring_stats().bounced_bytes;
+  u.write_vec(kOffset, srcs);
+  f.write_vec(kOffset, srcs);
+  if (u.direct_io()) {
+    // Read-modify-write touches only the first and last alignment unit.
+    EXPECT_EQ(u.uring_stats().bounced_bytes - bounced,
+              patch.size() + 2 * kTrack);
+  }
+  std::vector<std::byte> expect = base;
+  std::memcpy(expect.data() + kOffset, patch.data(), patch.size());
+  std::vector<std::byte> a(base.size()), b(base.size());
+  u.read(0, a);
+  f.read(0, b);
+  EXPECT_EQ(a, expect);
+  EXPECT_EQ(b, expect);
+}
+
+TEST(UringBackend, DirectReadRunStraddlingEofZeroFills) {
+  SKIP_WITHOUT_URING();
+  UringConfig cfg;
+  cfg.direct = true;
+  UringBackend u(temp_path("embsp_uring_run_eof.bin"), false, cfg);
+  const auto data = pattern(10000, 90);
+  u.write(0, data);
+  // Tracks 1..8 cover [4096, 36864): the file ends at byte 10000.
+  constexpr std::size_t kTracks = 8;
+  std::vector<std::byte> store;
+  auto dsts = misaligned_run<std::span<std::byte>>(store, kTracks, kTrack);
+  u.read_vec(kTrack, dsts);
+  for (std::size_t i = 0; i < kTracks * kTrack; ++i) {
+    const std::size_t pos = kTrack + i;
+    const std::byte want = pos < data.size() ? data[pos] : std::byte{0};
+    ASSERT_EQ(dsts[i / kTrack][i % kTrack], want) << "at byte " << pos;
+  }
 }
 
 TEST(UringBackend, RegisteredBuffersUsedForFixedOps) {

@@ -46,7 +46,10 @@
 //                      group's contexts/messages and retire the previous
 //                      group's write-backs while the current group runs
 //                      (enables the parallel I/O engine; results and disk
-//                      image are byte-identical to the serial schedule).
+//                      image are byte-identical to the serial schedule at
+//                      equal k — double buffering halves the context
+//                      memory per group, so the auto-picked k may shrink;
+//                      pin --k to compare digests).
 //                      Composes with --transport: each rank pipelines its
 //                      private disks and drains the wire incrementally
 //                      while it computes.
