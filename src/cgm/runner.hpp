@@ -4,7 +4,8 @@
 // an executor so the same program runs on:
 //   * DirectExec — the in-memory reference runtime,
 //   * SeqEmExec  — the 1-processor EM-BSP* simulator (Algorithm 1),
-//   * ParEmExec  — the p-processor EM-BSP* simulator (Algorithm 3).
+//   * ParEmExec  — the p-processor EM-BSP* simulator (Algorithm 3),
+//   * DistEmExec — one rank of Algorithm 3 over a net::Transport.
 // Each adapter exposes run(prog, v, make_state, collect) -> ExecResult and
 // auto-measures mu/gamma with a direct dry run when the caller has not
 // declared them.
@@ -128,6 +129,7 @@ class DistEmExec {
       const std::function<typename P::State(std::uint32_t)>& make_state,
       const std::function<void(std::uint32_t, typename P::State&)>& collect) {
     auto cfg = autoconfigure(cfg_, prog, v, make_state);
+    cfg.checkpoint.run_index = runs_started_++;  // see SeqEmExec::run
     sim::DistSimulator s(cfg, *tp_);
     auto r = s.run(prog, make_state, collect);
     ExecResult out{r.lambda(), r.costs, std::nullopt};
@@ -138,6 +140,7 @@ class DistEmExec {
  private:
   sim::SimConfig cfg_;
   net::Transport* tp_;
+  std::size_t runs_started_ = 0;
 };
 
 // --- Block distribution helpers --------------------------------------------

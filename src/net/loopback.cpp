@@ -1,15 +1,18 @@
 // In-process loopback transport: p endpoints over one shared mailbox table.
 //
 // post() assembles the gathered fragments into one owned Blob in the
-// staging cell (src, dst) — the same copy the threaded ParSimulator's
-// mailboxes make — and exchange() is a generation-counted condition-variable
-// barrier: the last rank to arrive swaps the staging table into the
-// delivery table and wakes everyone.
+// staging cell (src, dst) without taking the group mutex: row src is
+// written only by rank src, between two of its exchanges.  exchange() is a
+// generation-counted condition-variable barrier: the last rank to arrive
+// swaps the staging table into the delivery table and wakes everyone.
 //
-// Safety of the swap: rank r reads only delivery[r], and the delivery table
-// is replaced only when ALL ranks have arrived at the NEXT exchange — which
-// happens-after every rank moved its row out.  No rank can still be
-// touching the previous delivery when it is overwritten.
+// Safety of the swap: every rank entered exchange() through the group
+// mutex before the last arriver takes it, so each row's posts
+// happen-before the swap; a woken rank's next posts happen-after it.  Rank
+// r reads only delivery[r], and the delivery table is replaced only when
+// ALL ranks have arrived at the NEXT exchange — which happens-after every
+// rank moved its row out.  No rank can still be touching the previous
+// delivery when it is overwritten.
 #include <algorithm>
 #include <chrono>
 #include <condition_variable>
@@ -33,12 +36,13 @@ struct LoopbackGroup {
         delivery(n, std::vector<std::vector<Blob>>(n)) {}
 
   const std::uint32_t p;
-  const std::uint64_t timeout_ms;
+  const std::uint64_t timeout_ms;  ///< 0 = wait without a deadline
 
   std::mutex m;
   std::condition_variable cv;
-  /// staging[src][dst]: posted this phase.  delivery[dst][src]: readable
-  /// after the barrier.
+  /// staging[src][dst]: posted this phase (row src is rank src's alone
+  /// until it enters exchange()).  delivery[dst][src]: readable after the
+  /// barrier.
   std::vector<std::vector<std::vector<Blob>>> staging;
   std::vector<std::vector<std::vector<Blob>>> delivery;
   std::uint64_t generation = 0;
@@ -74,7 +78,6 @@ class LoopbackTransport final : public Transport {
       l.inflight_bytes += total;
       l.max_inflight_bytes = std::max(l.max_inflight_bytes, l.inflight_bytes);
     }
-    std::lock_guard<std::mutex> lock(group_->m);
     group_->staging[rank_][dst].push_back(std::move(blob));
   }
 
@@ -97,9 +100,14 @@ class LoopbackTransport final : public Transport {
       g.cv.notify_all();
     } else {
       const std::uint64_t gen = g.generation;
-      const bool done = g.cv.wait_for(
-          lock, std::chrono::milliseconds(g.timeout_ms),
-          [&] { return g.generation != gen || g.poisoned; });
+      const auto woken = [&] { return g.generation != gen || g.poisoned; };
+      bool done = true;
+      if (g.timeout_ms == 0) {
+        g.cv.wait(lock, woken);
+      } else {
+        done = g.cv.wait_for(lock, std::chrono::milliseconds(g.timeout_ms),
+                             woken);
+      }
       if (g.poisoned) {
         throw PeerFailedError("net: peer aborted: " + g.poison_reason);
       }
@@ -163,6 +171,21 @@ class LoopbackTransport final : public Transport {
 };
 
 }  // namespace
+
+std::exception_ptr root_cause(const std::vector<std::exception_ptr>& errors) {
+  std::exception_ptr echo;
+  for (const auto& e : errors) {
+    if (!e) continue;
+    try {
+      std::rethrow_exception(e);
+    } catch (const PeerFailedError&) {
+      if (!echo) echo = e;
+    } catch (...) {
+      return e;
+    }
+  }
+  return echo;
+}
 
 std::vector<std::unique_ptr<Transport>> make_loopback_group(
     std::uint32_t p, std::uint64_t timeout_ms) {

@@ -8,7 +8,7 @@
 // arriving bytes) without ever blocking, and `complete()` (historically
 // `exchange()`) is the barrier + delivery — so `DistSimulator` is written
 // once against the interface and runs unchanged over the in-process
-// loopback (tests, parity against the threaded `ParSimulator`) and the
+// loopback (`ParSimulator`'s p ranks, tests) and the
 // Unix-socket/TCP backend (separate worker processes, each with private
 // memory and disks: the machine the EM-BSP model actually describes).
 // Calling progress() between posts lets a rank push its phase's traffic
@@ -25,6 +25,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <span>
 #include <string>
@@ -152,10 +153,18 @@ class Transport {
 
 /// In-process loopback group: p endpoints sharing one mailbox table, with a
 /// generation-counted barrier.  Endpoint i is rank i; each must be driven
-/// from its own thread.  Used for tests and for `--transport loopback`,
-/// where parity with the threaded ParSimulator is checked byte for byte.
+/// from its own thread.  `timeout_ms` bounds each exchange() wait; 0 waits
+/// without a deadline, as a thread barrier does (ParSimulator's ranks: a
+/// straggling rank is slow, never lost).  Used by ParSimulator, by tests
+/// and by `--transport loopback`.
 std::vector<std::unique_ptr<Transport>> make_loopback_group(
     std::uint32_t p, std::uint64_t timeout_ms = 120'000);
+
+/// The error to surface from a group of ranks that ran in one process:
+/// the first rank's own failure, else the first PeerFailedError — the echo
+/// a peer raises when the failing rank aborts the group.  Null when no rank
+/// failed.
+std::exception_ptr root_cause(const std::vector<std::exception_ptr>& errors);
 
 /// Socket transport configuration.  `address` selects the family:
 ///   "host:port" — TCP; rank r listens on port + r,

@@ -17,23 +17,6 @@ DistSimulator::DistSimulator(
         " endpoints but the machine declares p=" +
         std::to_string(cfg_.machine.p));
   }
-  // Features whose protocols assume shared memory (cross-worker snapshot
-  // flags, a single checkpoint publisher, barrier-counted recovery units)
-  // are rejected up front rather than silently misbehaving over the wire.
-  // The pipelined group scheduler is NOT among them anymore: each rank's
-  // double-buffered schedule is private to its own disks, and the wire
-  // traffic it produces is identical (see dist_simulator.hpp).
-  if (cfg_.checkpoint.enabled()) {
-    throw std::invalid_argument(
-        "DistSimulator: checkpoint/restart is not supported over a "
-        "transport yet");
-  }
-  if (cfg_.superstep_recovery) {
-    throw std::invalid_argument(
-        "DistSimulator: coordinated superstep recovery is not supported "
-        "over a transport yet (transient faults are still absorbed by "
-        "per-rank retry)");
-  }
   if (cfg_.faults.enabled()) {
     fault_counters_ = std::make_shared<em::FaultCounters>();
   }
@@ -48,9 +31,9 @@ DistSimulator::DistSimulator(
   opts.coalesce = cfg_.coalesce_io && !cfg_.faults.enabled();
   auto global = em::wrap_with_faults(backend, cfg_.faults, cfg_.seed,
                                      fault_counters_);
-  // Machine-wide drive indices (rank*D + d), exactly as the ParSimulator
-  // numbers them: the deterministic fault schedule and any file-backed
-  // factory see the same per-drive streams in both simulators.
+  // Machine-wide drive indices (rank*D + d): the deterministic fault
+  // schedule and any file-backed factory see the same per-drive streams
+  // however the ranks are spread over processes.
   const std::uint32_t me = tp_->rank();
   auto make = global
                   ? std::function<std::unique_ptr<em::Backend>(std::size_t)>(

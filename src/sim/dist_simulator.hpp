@@ -1,57 +1,71 @@
-// Algorithm 3 over a real interconnect: one rank of the p-processor EM-BSP*
-// simulation per DistSimulator instance, communicating through a
-// net::Transport instead of shared-memory mailboxes.
+// Algorithm 3 — ParCompoundSuperstep (§5.2): one rank of the p-processor
+// EM-BSP* simulation of a v-processor BSP* program.
 //
-// This is the threaded ParSimulator's worker loop, factored onto message
-// passing.  Each rank owns a private D-disk array and simulates virtual
-// processors [rank*v/p, (rank+1)*v/p); a compound superstep runs the same
-// v/(p*k) rounds with the same two-phase randomized routing:
+// This is the repo's only Algorithm 3 loop.  Each rank owns a private
+// D-disk array and shares nothing with its peers but the messages it
+// exchanges through a net::Transport — separate processes over sockets
+// (`--transport socket`), or threads of one process over the loopback group
+// (ParSimulator, `--transport loopback`).  Rank i simulates virtual
+// processors [i*v/p, (i+1)*v/p); a compound superstep runs in v/(p*k)
+// rounds, and batch j is the set of messages destined to the virtual
+// processors simulated in round j (across all ranks):
 //
-//   round j:  fetch local blocks of batch j   → exchange #1 (forward to the
-//             destination's owner over the wire),
-//             compute the k virtual supersteps,
-//             pack per (owner, batch), scatter → exchange #2 (to a uniformly
-//             random intermediate rank, Lemma 10),
-//             write received blocks to local buckets.
-//   step 2:   local SimulateRouting reorganize.
+//   round j:  1(a) fetch the local blocks of batch j   → exchange #1
+//                  forwards each to the rank owning its destination,
+//             1(b) compute the k virtual supersteps in memory,
+//             1(c) pack the generated messages per (owner, batch) into
+//                  size-B blocks (the packet granularity; the model
+//                  requires b >= B) and scatter each to a uniformly random
+//                  rank — the two-phase randomized routing of Lemma 10 →
+//                  exchange #2; the receiver writes them to its local
+//                  buckets with random disk placement.
+//   step 2:   local SimulateRouting (Algorithm 2) reorganizes the received
+//             blocks so every batch lies in standard consecutive format.
 //   boundary: exchange #3 — an all-to-all control record (per-rank cost
-//             contribution, continue flag, rank 0's cancel sample); every
-//             rank applies the same commutative reduction, so all ranks
-//             append the same SuperstepCost and take the same branch.
+//             contribution, continue flag, rank 0's cancel sample, the
+//             reorganize status); every rank applies the same commutative
+//             reduction, so all ranks append the same SuperstepCost and
+//             take the same branch.
 //
-// Parity contract (tested byte for byte in tests/test_net.cpp): on the
-// loopback transport, results, SuperstepCosts, IoStats and fault-schedule
-// call indices are identical to the threaded ParSimulator.  The invariants
-// that make this hold:
-//   * identical SimLayout (including the group-capacity inflation),
+// Determinism: final states, SuperstepCosts, IoStats and fault-schedule
+// call indices are identical over every transport (tests/test_net.cpp),
+// because
 //   * the per-rank RNG replays the master fork loop (fork advances the
 //     master, so all p forks are drawn in rank order),
-//   * blocks are absorbed in source-rank order 0..p-1, the order the
-//     ParSimulator's mailbox sweep uses,
+//   * blocks are absorbed and written in source-rank order 0..p-1,
 //   * disk arrays use machine-wide drive indices (rank*D + d), keying the
-//     deterministic fault schedule identically,
-//   * cost reduction uses the same max/+ merges, which are commutative, so
-//     cross-rank reduction order cannot change the result.
+//     deterministic fault schedule,
+//   * cost reduction uses max/+ merges, which are commutative.
 //
-// Pipelined execution (cfg.pipeline): each rank runs the ParSimulator's
-// double-buffered group schedule against its private disks — context
-// prefetch for round r+1 and write-behind for round r-1 ride under round
-// r's compute, message writes ride a bounded write-behind window — and the
-// transport is driven incrementally: forward/scatter blocks are post()ed
-// as they materialize and Transport::progress() is pumped from the fetch,
-// compute and scatter phases, so phase t's wire traffic drains while the
-// rank is still computing or waiting on its disks instead of serializing
-// behind the complete() barrier.  Overlap changes only timing, never
-// content: disk submissions, RNG draws and post ordering are untouched, so
-// the byte-parity contract above holds with the pipeline on (asserted in
-// tests/test_net.cpp), and the won overlap shows up in the obs Registry as
-// net.exchange_overlap_ratio / net.link.<peer>.max_inflight_bytes.
+// Pipelined execution (cfg.pipeline): each rank runs the double-buffered
+// group schedule against its private disks — context prefetch for round
+// r+1 and write-behind for round r-1 ride under round r's compute, message
+// writes ride a bounded write-behind window — and the transport is driven
+// incrementally: blocks are post()ed as they materialize and
+// Transport::progress() is pumped from the fetch, compute and scatter
+// phases, so wire traffic drains while the rank is still computing or
+// waiting on its disks.  Overlap changes only timing, never content.
 //
-// Not supported over a transport (throws up front): durable checkpoints
-// and coordinated superstep recovery.  Transient injected faults are still
-// absorbed rank-locally by the retry machinery; what cannot be absorbed
-// aborts the run with a typed error, broadcast to peers via
-// Transport::abort.
+// Coordinated rollback (cfg.superstep_recovery): the superstep body and the
+// reorganize are recovery units.  A rank whose unit fails (a transfer gave
+// up, or a peer's failure starved it of mail) quiesces and keeps making
+// the unit's remaining exchanges, posting nothing, so every rank reaches
+// the verdict in step: a one-byte verdict record after the body, and a
+// status field of the boundary control record for the reorganize.  The
+// verdict is unanimous — commit, roll every rank back to the unit-entry
+// snapshots and the last committed context epoch, or (past
+// cfg.max_superstep_retries, or without an I/O failure to blame) fail the
+// run with the root cause.  A net::NetError is never a unit failure: the
+// transport itself is gone, and the run aborts.
+//
+// Durable checkpoints (cfg.checkpoint): only rank 0 touches the checkpoint
+// directory.  At a due boundary every rank posts its record (tallies plus
+// substrate, sim/checkpoint.hpp) to rank 0, which publishes the epoch; on
+// resume rank 0 loads it and hands every rank the run-wide header and that
+// rank's own record.
+//
+// Failures that cannot be recovered abort the run with a typed error,
+// broadcast to peers via Transport::abort.
 #pragma once
 
 #include <algorithm>
@@ -59,11 +73,13 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 
 #include "bsp/direct_runtime.hpp"
 #include "bsp/program.hpp"
 #include "em/disk_array.hpp"
 #include "net/transport.hpp"
+#include "sim/checkpoint.hpp"
 #include "sim/context_store.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
@@ -93,8 +109,10 @@ class DistSimulator {
   [[nodiscard]] std::uint32_t rank() const { return tp_->rank(); }
 
  private:
-  /// The exact field set the ParSimulator's per-round cost merge touches
-  /// (max_wire_* stay zero in the reduced record there too).
+  friend class ParSimulator;
+
+  /// The field set of the cross-rank cost reduction.  max_wire_* stay zero
+  /// in the reduced record; folding them in would move every p > 1 digest.
   static void merge_cost(bsp::SuperstepCost& into,
                          const bsp::SuperstepCost& c) {
     into.max_work = std::max(into.max_work, c.max_work);
@@ -110,10 +128,21 @@ class DistSimulator {
     into.num_messages += c.num_messages;
   }
 
+  /// How one attempt of a recovery unit ended on one rank.
+  enum class UnitStatus : std::uint8_t {
+    ok,
+    io_failed,  ///< an em::IoError: a transfer exhausted its retry budget
+    failed,     ///< anything else, e.g. mail starved by a peer's failure
+  };
+
   SimConfig cfg_;
   net::Transport* tp_;
   std::unique_ptr<em::DiskArray> disks_;
   std::shared_ptr<em::FaultCounters> fault_counters_;
+  /// Set by ParSimulator, whose ranks share one process and one caller:
+  /// final states gather to rank 0 alone, and the loopback transport's
+  /// counters stay out of the shared registry.
+  bool in_process_ = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -131,19 +160,24 @@ SimResult DistSimulator::run(
   const std::uint32_t v = cfg_.machine.bsp.v;
   const std::uint32_t local_v = v / p;
   const std::uint32_t me = tp_->rank();
+  const bool coordinated = cfg_.superstep_recovery;
 
-  // Leaf-granular plan consumption, same rationale as the ParSimulator:
-  // forwarding peeks per-block owners, so rounds are leaf-sized already.
+  // Leaf-granular plan consumption: forwarding inspects every block's owner
+  // per round, which already makes rounds leaf-sized — the legality win of
+  // a hierarchical plan — while routing stays per leaf batch (super-packed
+  // blocks would mix batches across owners).  The leaf equals the flat
+  // SimLayout whenever a flat schedule is feasible.
   SimLayout layout = LayoutPlanner::plan(cfg_, local_v).leaf;
-  // Same receive-capacity inflation as the ParSimulator (see the comment
-  // there): scattering is balanced only in expectation.
+  // Extra receive capacity per batch: random scattering is balanced only in
+  // expectation, and per-(source, destination-owner) tail blocks add
+  // fragmentation.  Overflow is detected at runtime with a clear error.
   layout.group_capacity = layout.group_capacity * 2 + 4 * p + 4;
   const auto k = static_cast<std::uint32_t>(layout.k);
   const std::uint32_t rounds = layout.num_groups;
 
   em::TrackAllocators alloc(disks_->num_disks());
   ContextStore contexts(*disks_, alloc, local_v, cfg_.mu,
-                        /*journaled=*/false);
+                        /*journaled=*/coordinated);
   MessageStoreConfig mcfg;
   mcfg.num_groups = rounds;
   mcfg.group_capacity_blocks = layout.group_capacity;
@@ -151,8 +185,8 @@ SimResult DistSimulator::run(
   mcfg.max_message_bytes = cfg_.gamma;
   mcfg.memory_budget_bytes = layout.routing_mem_budget;
   MessageStore messages(*disks_, alloc, mcfg);
-  // Per-rank RNG: replay the ParSimulator's fork loop — fork() advances the
-  // master, so every rank must draw all p forks in order and keep its own.
+  // Per-rank RNG: fork() advances the master, so every rank draws all p
+  // forks in order and keeps its own.
   util::Rng rng(0);
   {
     util::Rng master(cfg_.seed);
@@ -161,20 +195,37 @@ SimResult DistSimulator::run(
       if (i == me) rng = f;
     }
   }
-  std::uint64_t rr_scatter = 0;
-  PhaseIo phase_io;
-  RoutingStats routing;
-  std::uint64_t comm_bytes_this_step = 0;
-  std::uint64_t max_comm_bytes_step = 0;
-  std::uint64_t outbox_copied = 0;
-  std::uint64_t arena_peak = 0;
-  bool want_continue = false;
+  // This rank's running tallies: a checkpoint record carries them next to
+  // the substrate, and the end-of-run allgather merges them.  The retry,
+  // giveup and fault counts are those a resumed run inherited; the live
+  // engine and fault counters add on top (see live_tally).
+  struct Tally {
+    std::uint64_t rr_scatter = 0;  ///< deterministic-mode scatter cursor
+    std::uint64_t max_comm_bytes_step = 0;
+    std::uint64_t outbox_copied = 0;  ///< take() traffic (legacy path only)
+    std::uint64_t arena_peak = 0;     ///< peak arena residency
+    PhaseIo phase_io;
+    RoutingStats routing;
+    std::uint64_t io_retries = 0;
+    std::uint64_t io_giveups = 0;
+    em::FaultCounts faults;
+  } tally;
+  const auto live_tally = [&] {
+    Tally t = tally;
+    t.io_retries += disks_->engine_stats().total_retries();
+    t.io_giveups += disks_->engine_stats().total_giveups();
+    if (fault_counters_ != nullptr) t.faults += em::snapshot(*fault_counters_);
+    return t;
+  };
 
   SimResult result;
   result.group_size = layout.k;
-  std::vector<State> final_states(v);
+  // Every rank's serialized final states (ParSimulator's ranks > 0 get
+  // none).
+  std::vector<std::vector<net::Blob>> gathered;
 
   const auto owner_of = [local_v](std::uint32_t vp) { return vp / local_v; };
+  // Destination batch of a virtual processor: its round index on its owner.
   const auto batch_of = [local_v, k](std::uint32_t vp) {
     return (vp % local_v) / k;
   };
@@ -195,6 +246,40 @@ SimResult DistSimulator::run(
       if (d != nullptr) d->register_io_buffers({});
     }
   } reg_guard;
+  // Settles every in-flight token and resets the staging slots: required
+  // before unwinding past the slots and before any rollback restore (a
+  // late-landing write would corrupt the restored state); cheap when
+  // nothing is in flight.
+  const auto quiesce = [&] {
+    disks.drain();
+    messages.abandon_inflight();
+    for (int s = 0; s < 2; ++s) {
+      ctx_read[s].active = false;
+      ctx_read[s].tokens.clear();
+      ctx_write[s].active = false;
+      ctx_write[s].tokens.clear();
+    }
+  };
+  // The failure path: quiesce before unwinding past the staging buffers,
+  // then poison the mesh so peers fail fast instead of timing out.  A
+  // failed run never reaches the end-of-run allgather, so each rank
+  // flushes what it alone knows — its engine counters and its additive
+  // share of the recovery counters, which a registry shared by in-process
+  // ranks sums to the run-wide totals.
+  const auto fail = [&](const char* reason) {
+    quiesce();
+    tp_->abort(reason);
+    if (rec == nullptr) return;
+    disks.harvest_backend_stats();
+    em::export_metrics(disks.engine_stats(), rec->registry,
+                       "proc." + std::to_string(me) + ".engine.");
+    const Tally t = live_tally();
+    RecoveryStats share;
+    share.io_retries = t.io_retries;
+    share.io_giveups = t.io_giveups;
+    share.faults = t.faults;
+    export_io_recovery_stats(rec->registry, share);
+  };
   std::unique_ptr<util::ComputePool> pool;
   const bool pipelined = cfg_.pipeline;
   try {
@@ -216,26 +301,212 @@ SimResult DistSimulator::run(
       }
       if (disks.register_io_buffers(regions) > 0) reg_guard.d = &disks;
     }
-    // Initial contexts for this rank's virtual processors.
-    {
-      ObsPhase phase(rec, "init", disks, &phase_io.init, me);
-      for (std::uint32_t r = 0; r < rounds; ++r) {
-        const std::uint32_t first = r * k;
-        const std::uint32_t count = std::min(k, local_v - first);
-        contexts.write(first, count, [&](std::uint32_t ctx, util::Writer& w) {
-          make_state(me * local_v + ctx).serialize(w);
-        });
+
+    // --- Checkpoint handoff.  Rank 0 decides whether this run publishes (a
+    // run that finished before the crash re-executes without touching the
+    // later run's checkpoint), loads the resumable state, and hands every
+    // rank the run-wide header plus that rank's own record.
+    const std::uint64_t config_fp = config_fingerprint(cfg_);
+    std::optional<CheckpointDir> ckpt;  // rank 0's
+    bool ckpt_active = false;
+    bool resumed = false;
+    std::size_t start_step = 0;
+    if (cfg_.checkpoint.enabled()) {
+      if (me == 0) {
+        ckpt.emplace(cfg_.checkpoint.dir);
+        bool publishes = true;
+        std::optional<CheckpointDir::Loaded> loaded;
+        if (cfg_.checkpoint.resume) {
+          const auto m = ckpt->manifest();
+          if (m.has_value() && m->run_index > cfg_.checkpoint.run_index) {
+            publishes = false;
+          } else {
+            loaded = ckpt->load(cfg_.checkpoint.run_index, config_fp);
+          }
+        }
+        util::Writer head;
+        head.write<std::uint8_t>(publishes ? 1 : 0);
+        head.write<std::uint8_t>(loaded.has_value() ? 1 : 0);
+        if (!loaded.has_value()) {
+          for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, head.bytes());
+        } else {
+          util::Reader r(loaded->payload);
+          head.write<std::uint64_t>(loaded->epoch);
+          const auto header = r.read_bytes(r.read<std::uint64_t>());
+          head.write<std::uint64_t>(header.size());
+          head.write_bytes(header);
+          if (r.read<std::uint32_t>() != p) {
+            throw std::runtime_error("checkpoint: processor count mismatch");
+          }
+          for (std::uint32_t q = 0; q < p; ++q) {
+            const std::span<const std::byte> frags[2] = {
+                head.bytes(), r.read_bytes(r.read<std::uint64_t>())};
+            tp_->post(q, frags);
+          }
+          if (!r.exhausted()) {
+            throw std::runtime_error("checkpoint: trailing bytes in payload");
+          }
+        }
       }
+      const auto handoff = tp_->exchange();
+      if (handoff[0].size() != 1) {
+        throw net::PeerFailedError(
+            "DistSimulator: malformed checkpoint handoff from rank 0");
+      }
+      util::Reader r(handoff[0][0]);
+      ckpt_active = r.read<std::uint8_t>() != 0;
+      resumed = r.read<std::uint8_t>() != 0;
+      if (resumed) {
+        result.recovery.resume_epoch = r.read<std::uint64_t>();
+        util::Reader h(r.read_bytes(r.read<std::uint64_t>()));
+        start_step = static_cast<std::size_t>(h.read<std::uint64_t>());
+        result.costs.supersteps = h.read_vector<bsp::SuperstepCost>();
+        result.recovery.superstep_rollbacks = h.read<std::uint64_t>();
+        result.recovery.reorganize_rollbacks = h.read<std::uint64_t>();
+        tally = r.read<Tally>();
+        load_proc_state(r, disks, alloc, contexts, messages, rng);
+        if (!h.exhausted() || !r.exhausted()) {
+          throw std::runtime_error(
+              "checkpoint: trailing bytes in processor record");
+        }
+      }
+    }
+    // At a due boundary: every rank serializes its own disks (off-model:
+    // no IoStats, no fault draws) and posts the record to rank 0, which
+    // publishes the epoch.
+    const auto publish_checkpoint = [&](std::uint64_t next_step) {
+      {
+        util::Writer w;
+        w.write<Tally>(live_tally());
+        save_proc_state(w, disks, alloc, contexts, messages, rng);
+        tp_->post(0, w.bytes());
+      }
+      const auto records = tp_->exchange();
+      ++result.recovery.checkpoints;
+      if (me != 0) return;
+      const auto t0 = std::chrono::steady_clock::now();
+      util::Writer header;
+      header.write<std::uint64_t>(next_step);
+      header.write_vector(result.costs.supersteps);
+      header.write<std::uint64_t>(result.recovery.superstep_rollbacks);
+      header.write<std::uint64_t>(result.recovery.reorganize_rollbacks);
+      util::Writer g;
+      g.write_vector(header.bytes());
+      g.write<std::uint32_t>(p);
+      for (std::uint32_t src = 0; src < p; ++src) {
+        if (records[src].size() != 1) {
+          throw net::PeerFailedError(
+              "DistSimulator: malformed checkpoint record from rank " +
+              std::to_string(src));
+        }
+        g.write_vector(records[src][0]);
+      }
+      ckpt->publish(cfg_.checkpoint.run_index, next_step, g.bytes(),
+                    config_fp);
+      record_checkpoint(
+          rec, result.recovery.checkpoints, g.size(),
+          static_cast<std::uint64_t>(
+              std::chrono::duration_cast<std::chrono::nanoseconds>(
+                  std::chrono::steady_clock::now() - t0)
+                  .count()));
+    };
+
+    // Initial contexts for this rank's virtual processors.  Skipped on
+    // resume: the restored context banks already hold the checkpointed
+    // boundary's state.
+    if (!resumed) {
+      {
+        ObsPhase phase(rec, "init", disks, &tally.phase_io.init, me);
+        for (std::uint32_t r = 0; r < rounds; ++r) {
+          const std::uint32_t first = r * k;
+          const std::uint32_t count = std::min(k, local_v - first);
+          contexts.write(first, count, [&](std::uint32_t ctx, util::Writer& w) {
+            make_state(me * local_v + ctx).serialize(w);
+          });
+        }
+      }
+      // The initial contexts are the first committed epoch.
+      if (contexts.journaled()) contexts.commit_epoch();
     }
     // Startup alignment: validates the mesh before the first superstep and
     // keeps slow-starting peers from eating into round deadlines.
     (void)tp_->exchange();
+
+    // --- Coordinated recovery units ------------------------------------
+    struct Attempt {
+      UnitStatus status = UnitStatus::ok;
+      std::exception_ptr error;
+    };
+    // Runs one attempt of a unit.  Without coordinated recovery a failure
+    // propagates at once (and aborts the group); with it, the failure
+    // becomes this rank's status and the caller keeps its exchange
+    // schedule until the verdict.
+    const auto attempt_unit = [&](auto&& body) {
+      Attempt a;
+      if (!coordinated) {
+        body();
+        return a;
+      }
+      try {
+        body();
+      } catch (const net::NetError&) {
+        throw;
+      } catch (const em::IoError&) {
+        a = {UnitStatus::io_failed, std::current_exception()};
+      } catch (...) {
+        a = {UnitStatus::failed, std::current_exception()};
+      }
+      if (a.status != UnitStatus::ok) quiesce();
+      return a;
+    };
+    // The unanimous verdict on one attempt, from every rank's status:
+    // false = commit, true = roll back and re-execute.  A unit that fails
+    // for good throws on every rank — the root cause where it happened, an
+    // echo elsewhere.  An I/O failure is the root cause whenever one
+    // happened: it can starve peers into secondary failures, never the
+    // reverse.
+    const auto roll_back = [&](const std::vector<UnitStatus>& votes,
+                               const Attempt& a, std::size_t attempt) {
+      const auto first = [&](UnitStatus s) {
+        return static_cast<std::uint32_t>(
+            std::find(votes.begin(), votes.end(), s) - votes.begin());
+      };
+      const bool io = first(UnitStatus::io_failed) < p;
+      if (!io && first(UnitStatus::failed) == p) return false;
+      if (io && attempt < cfg_.max_superstep_retries) return true;
+      const UnitStatus root = io ? UnitStatus::io_failed : UnitStatus::failed;
+      if (a.status == root) std::rethrow_exception(a.error);
+      throw net::PeerFailedError(
+          "DistSimulator: rank " + std::to_string(first(root)) +
+          " failed a recovery unit for good");
+    };
+    // Unit-entry snapshot of the in-memory metadata a unit mutates; the
+    // journaled context bank rolls back separately (discard_epoch).
+    struct Snapshot {
+      util::Rng rng;
+      std::uint64_t rr_scatter;
+      std::vector<em::TrackAllocator::Snapshot> tracks;
+      MessageStore::Snapshot chains;
+    };
+    const auto snapshot = [&]() -> std::optional<Snapshot> {
+      if (!coordinated) return std::nullopt;
+      return Snapshot{rng, tally.rr_scatter, alloc.snapshot(),
+                      messages.snapshot()};
+    };
+    const auto restore = [&](const Snapshot& s) {
+      rng = s.rng;
+      tally.rr_scatter = s.rr_scatter;
+      alloc.restore(s.tracks);
+      messages.restore(s.chains);
+    };
 
     // Buffers reused across rounds and supersteps.
     std::vector<std::vector<std::byte>> payloads;
     std::vector<std::vector<bsp::Message>> inboxes;
     std::vector<bsp::Message> outgoing;
     std::vector<State> states;
+    // Zero-copy path: reassembled payloads live in this arena (reset per
+    // round — the previous round's compute has consumed its refs).
     const bool zero_copy = cfg_.zero_copy;
     util::Arena inbox_arena;
     std::vector<std::vector<bsp::MessageRef>> inbox_refs;
@@ -261,13 +532,24 @@ SimResult DistSimulator::run(
       contexts.read_submit(rf, rc, ctx_read[r & 1]);
     };
 
-    for (std::size_t step = 0;; ++step) {
-      if (step >= cfg_.max_supersteps) {
-        throw std::runtime_error("DistSimulator: superstep limit exceeded");
-      }
+    // One superstep body's contribution, reset by every attempt.
+    bsp::SuperstepCost local_step_cost;
+    bool want_continue = false;
+    std::uint64_t comm_bytes_this_step = 0;
+    // Exchanges one body makes (forward + scatter per round) and how many
+    // the current attempt has made so far.
+    const std::size_t body_exchanges = 2 * static_cast<std::size_t>(rounds);
+    std::size_t exchanges_made = 0;
+
+    // Step 1: all rounds' fetch / compute / write.  Reads touch only
+    // committed state (the arena written by the previous reorganize, the
+    // committed context bank), so re-execution after a rollback sees
+    // exactly the original inputs.
+    const auto run_rounds = [&](std::size_t step) {
+      local_step_cost = {};
       want_continue = false;
       comm_bytes_this_step = 0;
-      bsp::SuperstepCost local_step_cost;
+      exchanges_made = 0;
       if (pipelined) submit_ctx_read(0);
 
       for (std::uint32_t round = 0; round < rounds; ++round) {
@@ -278,10 +560,13 @@ SimResult DistSimulator::run(
         // copies before returning, so transient spans — this callback's,
         // pack_blocks scratch, serialized records — are posted directly.
         {
-          ObsPhase phase(rec, "fetch_msg", disks, &phase_io.fetch_msg, me);
+          ObsPhase phase(rec, "fetch_msg", disks, &tally.phase_io.fetch_msg,
+                         me);
           messages.fetch_group_blocks(
               round, [&](std::span<const std::byte> block) {
                 if (is_dummy_block(block)) return;
+                // All chunks in a block share one destination group (they
+                // were packed per owner): the first chunk's dst names it.
                 util::Reader r(block.subspan(kBlockHeaderBytes));
                 r.read<std::uint32_t>();  // src
                 const auto dst = r.read<std::uint32_t>();
@@ -291,6 +576,7 @@ SimResult DistSimulator::run(
                 tp_->progress();
               });
         }
+        ++exchanges_made;
         auto forward = tp_->exchange();
 
         // --- Compute: reassemble inboxes, run the k virtual supersteps.
@@ -332,7 +618,7 @@ SimResult DistSimulator::run(
 
         {
           ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
-                         disks, &phase_io.fetch_ctx, me);
+                         disks, &tally.phase_io.fetch_ctx, me);
           if (pipelined) {
             contexts.read_wait(ctx_read[round & 1], payloads);
             // Read-ahead: the next round's contexts stream in while this
@@ -412,26 +698,28 @@ SimResult DistSimulator::run(
           local_cost.total_bytes += s.bytes_sent;
           local_cost.num_messages += s.num_messages;
           if (zero_copy) {
+            // Refs stay valid through the scatter packing below: the
+            // outboxes (and their arenas) outlive this round's writing.
             for (const auto& msg : outboxes[i].messages()) {
               outgoing_refs.push_back(msg);
             }
-            arena_peak = std::max<std::uint64_t>(
-                arena_peak, outboxes[i].arena_high_water());
+            tally.arena_peak = std::max<std::uint64_t>(
+                tally.arena_peak, outboxes[i].arena_high_water());
           } else {
             for (auto& msg : outboxes[i].take()) {
               outgoing.push_back(std::move(msg));
             }
-            outbox_copied += outboxes[i].bytes_copied();
+            tally.outbox_copied += outboxes[i].bytes_copied();
           }
         }
-        arena_peak =
-            std::max<std::uint64_t>(arena_peak, inbox_arena.high_water());
+        tally.arena_peak =
+            std::max<std::uint64_t>(tally.arena_peak, inbox_arena.high_water());
         merge_cost(local_step_cost, local_cost);
 
         // Write contexts back.
         {
           ObsPhase phase(rec, pipelined ? "writeback_ctx" : "write_ctx",
-                         disks, &phase_io.write_ctx, me);
+                         disks, &tally.phase_io.write_ctx, me);
           auto emit = [&](std::uint32_t ctx, util::Writer& w) {
             states[ctx - first].serialize(w);
           };
@@ -461,10 +749,12 @@ SimResult DistSimulator::run(
             dest_keys.push_back(key);
             return slot;
           };
+          // Random intermediate (Lemma 10) — or round robin when the
+          // routing is deterministic.
           const auto scatter_block = [&](std::span<const std::byte> block) {
             const auto target = static_cast<std::uint32_t>(
                 cfg_.routing == RoutingMode::deterministic
-                    ? (me + rr_scatter++) % p
+                    ? (me + tally.rr_scatter++) % p
                     : rng.below(p));
             tp_->post(target, block);
             if (target != me) comm_bytes_this_step += block.size();
@@ -481,8 +771,8 @@ SimResult DistSimulator::run(
             for (std::size_t s = 0; s < by_dest.size(); ++s) {
               const auto batch =
                   static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
-              pack_blocks(std::span<const bsp::MessageRef>(by_dest[s]), batch,
-                          disks.block_size(), scatter_block);
+              pack_blocks(std::span<const bsp::MessageRef>(by_dest[s]),
+                          batch, disks.block_size(), scatter_block);
             }
           } else {
             std::vector<std::vector<const bsp::Message*>> by_dest;
@@ -499,16 +789,19 @@ SimResult DistSimulator::run(
             }
           }
         }
+        ++exchanges_made;
         auto scattered = tp_->exchange();
 
         // --- Receive scattered blocks, write them to local buckets in
-        // source-rank order (the ParSimulator's mailbox sweep order — the
-        // write_block RNG draws must land on the same call indices).
+        // source-rank order (the write_block RNG draws must land on the
+        // same call indices on every transport).
         {
-          ObsPhase phase(rec, "write_msg", disks, &phase_io.write_msg, me);
+          ObsPhase phase(rec, "write_msg", disks, &tally.phase_io.write_msg,
+                         me);
           for (std::uint32_t src = 0; src < p; ++src) {
             for (auto& block : scattered[src]) {
               if (zero_copy) {
+                // Adopt the delivered buffer instead of copying it.
                 messages.write_block(std::move(block), rng);
               } else {
                 messages.write_block(block, rng);
@@ -522,55 +815,119 @@ SimResult DistSimulator::run(
         // Drain the pipeline before reorganizing: the last two rounds'
         // context write-backs and every in-flight message write cycle.
         {
-          ObsPhase phase(rec, "writeback_ctx", disks, &phase_io.write_ctx,
-                         me);
+          ObsPhase phase(rec, "writeback_ctx", disks,
+                         &tally.phase_io.write_ctx, me);
           contexts.write_wait(ctx_write[rounds & 1]);
           contexts.write_wait(ctx_write[(rounds + 1) & 1]);
         }
-        ObsPhase phase(rec, "writeback_msg", disks, &phase_io.write_msg, me);
+        ObsPhase phase(rec, "writeback_msg", disks, &tally.phase_io.write_msg,
+                       me);
         messages.quiesce();
       }
+    };
 
-      // --- Step 2: local SimulateRouting.
-      {
-        ObsPhase phase(rec, "reorganize", disks, &phase_io.reorganize, me);
-        messages.flush(rng);
-        routing += messages.reorganize(rng);
+    for (std::size_t step = start_step;; ++step) {
+      if (step >= cfg_.max_supersteps) {
+        throw std::runtime_error("DistSimulator: superstep limit exceeded");
       }
-      max_comm_bytes_step =
-          std::max(max_comm_bytes_step, comm_bytes_this_step);
 
-      // --- Superstep boundary: all-to-all control record.  Every rank
-      // computes the same reduction, so the cost log, the continue branch
-      // and the cancel branch stay in lockstep without a coordinator.
-      {
-        util::Writer w;
-        w.write<bsp::SuperstepCost>(local_step_cost);
-        w.write<std::uint8_t>(want_continue ? 1 : 0);
-        const bool cancel_sample =
-            me == 0 && cfg_.cancel != nullptr &&
-            cfg_.cancel->load(std::memory_order_relaxed);
-        w.write<std::uint8_t>(cancel_sample ? 1 : 0);
-        const auto record = w.take();
-        for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, record);
+      // --- Step 1: the superstep body, one recovery unit.  Its verdict
+      // record follows the body's last exchange.
+      for (std::size_t attempt = 0;; ++attempt) {
+        const auto snap = snapshot();
+        const Attempt a = attempt_unit([&] { run_rounds(step); });
+        if (!coordinated) break;
+        // A failed rank keeps the schedule: its remaining exchanges post
+        // nothing, and what they deliver belongs to a doomed attempt.
+        for (; exchanges_made < body_exchanges; ++exchanges_made) {
+          (void)tp_->exchange();
+        }
+        const auto status = static_cast<std::byte>(a.status);
+        for (std::uint32_t q = 0; q < p; ++q) {
+          tp_->post(q, std::span<const std::byte>(&status, 1));
+        }
+        const auto verdicts = tp_->exchange();
+        std::vector<UnitStatus> votes(p);
+        for (std::uint32_t src = 0; src < p; ++src) {
+          if (verdicts[src].size() != 1 || verdicts[src][0].size() != 1) {
+            throw net::PeerFailedError(
+                "DistSimulator: malformed verdict record from rank " +
+                std::to_string(src));
+          }
+          votes[src] = static_cast<UnitStatus>(verdicts[src][0][0]);
+        }
+        if (!roll_back(votes, a, attempt)) {
+          contexts.commit_epoch();
+          break;
+        }
+        // Unanimous rollback to the last committed epoch.
+        restore(*snap);
+        contexts.discard_epoch();
+        ++result.recovery.superstep_rollbacks;
+        if (me == 0) record_rollback(rec, "superstep", me);
       }
-      auto controls = tp_->exchange();
+      tally.max_comm_bytes_step =
+          std::max(tally.max_comm_bytes_step, comm_bytes_this_step);
+
+      // --- Step 2: local SimulateRouting, its own recovery unit: it drains
+      // the bucket chains destructively and overwrites the arena (this
+      // superstep's input), so its snapshot is taken at its entry — after
+      // the body committed.  Its verdict rides on the control record.
       bsp::SuperstepCost step_cost;
       bool any = false;
       bool cancel_seen = false;
-      for (std::uint32_t src = 0; src < p; ++src) {
-        if (controls[src].size() != 1) {
-          throw net::PeerFailedError(
-              "DistSimulator: malformed control record from rank " +
-              std::to_string(src));
+      for (std::size_t attempt = 0;; ++attempt) {
+        const auto snap = snapshot();
+        RoutingStats attempt_routing;
+        const Attempt a = attempt_unit([&] {
+          ObsPhase phase(rec, "reorganize", disks,
+                         &tally.phase_io.reorganize, me);
+          messages.flush(rng);
+          attempt_routing = messages.reorganize(rng);
+        });
+        {
+          util::Writer w;
+          w.write<bsp::SuperstepCost>(local_step_cost);
+          w.write<std::uint8_t>(want_continue ? 1 : 0);
+          const bool cancel_sample =
+              me == 0 && cfg_.cancel != nullptr &&
+              cfg_.cancel->load(std::memory_order_relaxed);
+          w.write<std::uint8_t>(cancel_sample ? 1 : 0);
+          w.write<UnitStatus>(a.status);
+          for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, w.bytes());
         }
-        util::Reader r(controls[src][0]);
-        merge_cost(step_cost, r.read<bsp::SuperstepCost>());
-        any = any || r.read<std::uint8_t>() != 0;
-        const bool cancel = r.read<std::uint8_t>() != 0;
-        if (src == 0) cancel_seen = cancel;
+        const auto controls = tp_->exchange();
+        step_cost = {};
+        any = false;
+        std::vector<UnitStatus> votes(p);
+        for (std::uint32_t src = 0; src < p; ++src) {
+          if (controls[src].size() != 1) {
+            throw net::PeerFailedError(
+                "DistSimulator: malformed control record from rank " +
+                std::to_string(src));
+          }
+          util::Reader r(controls[src][0]);
+          merge_cost(step_cost, r.read<bsp::SuperstepCost>());
+          any = any || r.read<std::uint8_t>() != 0;
+          const bool cancel = r.read<std::uint8_t>() != 0;
+          if (src == 0) cancel_seen = cancel;
+          votes[src] = r.read<UnitStatus>();
+        }
+        if (!roll_back(votes, a, attempt)) {
+          tally.routing += attempt_routing;
+          break;
+        }
+        restore(*snap);
+        ++result.recovery.reorganize_rollbacks;
+        if (me == 0) record_rollback(rec, "reorganize", me);
       }
       result.costs.supersteps.push_back(step_cost);
+
+      // --- Superstep boundary: durability point (§5.1).
+      if (ckpt_active && any &&
+          (cancel_seen || (step + 1) % cfg_.checkpoint.every == 0)) {
+        publish_checkpoint(step + 1);
+      }
       if (cancel_seen && any) {
         throw CanceledError("DistSimulator: canceled at superstep boundary " +
                             std::to_string(step + 1));
@@ -578,53 +935,40 @@ SimResult DistSimulator::run(
       if (!any) break;
     }
 
-    // Collect this rank's final states, then allgather so every rank can
-    // hand the workload driver the complete output (drivers feed collected
-    // results into the next phase's input, and all ranks must stay in
-    // lockstep).
-    util::Writer local_out;
+    // Collect this rank's final states and gather them.  Every rank of a
+    // distributed run hands its workload driver the complete output
+    // (drivers feed collected results into the next phase's input, and all
+    // ranks must stay in lockstep), so the states are allgathered;
+    // ParSimulator's ranks share one caller and gather to rank 0 alone.
     {
-      ObsPhase phase(rec, "collect", disks, &phase_io.collect, me);
-      for (std::uint32_t r = 0; r < rounds; ++r) {
-        const std::uint32_t first = r * k;
-        const std::uint32_t count = std::min(k, local_v - first);
-        contexts.read_into(first, count, payloads);
-        for (std::uint32_t i = 0; i < count; ++i) {
-          local_out.write_vector(payloads[i]);
+      util::Writer local_out;
+      {
+        ObsPhase phase(rec, "collect", disks, &tally.phase_io.collect, me);
+        for (std::uint32_t r = 0; r < rounds; ++r) {
+          const std::uint32_t first = r * k;
+          const std::uint32_t count = std::min(k, local_v - first);
+          contexts.read_into(first, count, payloads);
+          for (std::uint32_t i = 0; i < count; ++i) {
+            local_out.write_vector(payloads[i]);
+          }
         }
       }
-    }
-    disks.sync();
-
-    {
-      const auto blob = local_out.take();
-      for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, blob);
-    }
-    auto gathered = tp_->exchange();
-    for (std::uint32_t src = 0; src < p; ++src) {
-      if (gathered[src].size() != 1) {
-        throw net::PeerFailedError(
-            "DistSimulator: malformed state record from rank " +
-            std::to_string(src));
-      }
-      util::Reader r(gathered[src][0]);
-      for (std::uint32_t j = 0; j < local_v; ++j) {
-        const auto bytes = r.read_vector<std::byte>();
-        util::Reader sr(bytes);
-        final_states[src * local_v + j].deserialize(sr);
+      disks.sync();
+      const std::uint32_t receivers = in_process_ ? 1 : p;
+      for (std::uint32_t q = 0; q < receivers; ++q) {
+        tp_->post(q, local_out.bytes());
       }
     }
+    gathered = tp_->exchange();
 
     // --- End-of-run record allgather: every rank assembles the SAME
-    // SimResult the threaded ParSimulator would have produced (max-over-
-    // processors I/O, summed routing stats, reduced overlap), so digests
-    // agree on every rank and with the single-process run.
+    // SimResult (max-over-processors I/O, summed routing stats, reduced
+    // overlap), so digests agree on every rank and every transport.
     disks.harvest_backend_stats();
     {
       util::Writer w;
+      w.write<Tally>(live_tally());
       w.write<em::IoStats>(disks.stats());
-      w.write<std::uint64_t>(disks.engine_stats().total_retries());
-      w.write<std::uint64_t>(disks.engine_stats().total_giveups());
       const auto& eng = disks.engine_stats();
       const std::uint64_t busy = eng.max_busy_ns();
       double clamped = 0.0;
@@ -635,20 +979,12 @@ SimResult DistSimulator::run(
       }
       w.write<std::uint8_t>(busy > 0 ? 1 : 0);
       w.write<double>(clamped);
-      w.write<RoutingStats>(routing);
-      w.write<std::uint64_t>(max_comm_bytes_step);
       w.write<std::uint64_t>(disks.max_tracks_used());
-      em::FaultCounts fc;
-      if (fault_counters_ != nullptr) fc = em::snapshot(*fault_counters_);
-      w.write<em::FaultCounts>(fc);
-      w.write<PhaseIo>(phase_io);
-      w.write<std::uint64_t>(messages.bytes_copied() + outbox_copied);
-      w.write<std::uint64_t>(arena_peak);
+      w.write<std::uint64_t>(messages.bytes_copied());
       w.write<std::uint8_t>(messages.in_memory_routing() ? 1 : 0);
-      const auto record = w.take();
-      for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, record);
+      for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, w.bytes());
     }
-    auto records = tp_->exchange();
+    const auto records = tp_->exchange();
     std::uint64_t copied_total = 0;
     std::uint64_t arena_peak_all = 0;
     bool mem_routing = true;
@@ -659,65 +995,80 @@ SimResult DistSimulator::run(
             std::to_string(src));
       }
       util::Reader r(records[src][0]);
+      const auto t = r.read<Tally>();
       const auto io = r.read<em::IoStats>();
       result.per_proc_io.push_back(io);
       if (io.parallel_ios >= result.total_io.parallel_ios) {
         result.total_io = io;
       }
-      result.recovery.io_retries += r.read<std::uint64_t>();
-      result.recovery.io_giveups += r.read<std::uint64_t>();
       const bool has_busy = r.read<std::uint8_t>() != 0;
       const double clamped = r.read<double>();
       if (has_busy) {
         result.overlap_ratio =
             src == 0 ? clamped : std::min(result.overlap_ratio, clamped);
       }
-      result.routing_stats += r.read<RoutingStats>();
-      result.real_comm_bytes =
-          std::max(result.real_comm_bytes, r.read<std::uint64_t>());
       result.max_tracks_per_disk =
           std::max(result.max_tracks_per_disk, r.read<std::uint64_t>());
-      result.recovery.faults += r.read<em::FaultCounts>();
-      const auto pio = r.read<PhaseIo>();
-      if (src == 0) result.phase_io = pio;
-      copied_total += r.read<std::uint64_t>();
-      arena_peak_all = std::max(arena_peak_all, r.read<std::uint64_t>());
+      copied_total += r.read<std::uint64_t>() + t.outbox_copied;
       mem_routing = mem_routing && r.read<std::uint8_t>() != 0;
+      result.recovery.io_retries += t.io_retries;
+      result.recovery.io_giveups += t.io_giveups;
+      result.recovery.faults += t.faults;
+      result.routing_stats += t.routing;
+      result.real_comm_bytes =
+          std::max(result.real_comm_bytes, t.max_comm_bytes_step);
+      if (src == 0) result.phase_io = t.phase_io;
+      arena_peak_all = std::max(arena_peak_all, t.arena_peak);
     }
 
+    // Registry: per-rank entries (proc.<r>.engine.*, phase spans, net.*)
+    // come from every rank, the run-wide ones from rank 0 alone — once,
+    // even when all ranks share one registry.
     if (rec != nullptr) {
       auto& reg = rec->registry;
       em::export_metrics(disks.engine_stats(), reg,
                          "proc." + std::to_string(me) + ".engine.");
-      export_routing_stats(reg, result.routing_stats);
-      export_recovery_stats(reg, result.recovery);
-      reg.add("sim.supersteps", result.costs.num_supersteps());
-      reg.set_gauge("sim.group_size", static_cast<double>(result.group_size));
-      reg.set_gauge("sim.max_tracks_per_disk",
-                    static_cast<double>(result.max_tracks_per_disk));
-      reg.set_gauge("sim.real_comm_bytes",
-                    static_cast<double>(result.real_comm_bytes));
-      reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
-      reg.add("sim.bytes_copied", copied_total);
-      reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak_all));
-      reg.set_gauge("sim.in_memory_routing", mem_routing ? 1.0 : 0.0);
-      tp_->export_metrics(reg);
+      if (!in_process_) tp_->export_metrics(reg);
+      if (me == 0) {
+        export_routing_stats(reg, result.routing_stats);
+        export_recovery_stats(reg, result.recovery);
+        reg.add("sim.supersteps", result.costs.num_supersteps());
+        reg.set_gauge("sim.group_size",
+                      static_cast<double>(result.group_size));
+        reg.set_gauge("sim.max_tracks_per_disk",
+                      static_cast<double>(result.max_tracks_per_disk));
+        reg.set_gauge("sim.real_comm_bytes",
+                      static_cast<double>(result.real_comm_bytes));
+        reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
+        reg.add("sim.bytes_copied", copied_total);
+        reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak_all));
+        reg.set_gauge("sim.in_memory_routing", mem_routing ? 1.0 : 0.0);
+      }
     }
   } catch (const std::exception& e) {
-    // Settle in-flight tokens before unwinding past their staging buffers,
-    // then poison the mesh so peers fail fast instead of timing out.
-    disks.drain();
-    messages.abandon_inflight();
-    tp_->abort(e.what());
+    fail(e.what());
     throw;
   } catch (...) {
-    disks.drain();
-    messages.abandon_inflight();
-    tp_->abort("unknown error");
+    fail("unknown error");
     throw;
   }
 
-  for (std::uint32_t vp = 0; vp < v; ++vp) collect(vp, final_states[vp]);
+  // Hand the driver the final states, in virtual-processor order.
+  if (in_process_ && me != 0) return result;
+  for (std::uint32_t src = 0; src < p; ++src) {
+    if (gathered[src].size() != 1) {
+      throw net::PeerFailedError(
+          "DistSimulator: malformed state record from rank " +
+          std::to_string(src));
+    }
+    util::Reader r(gathered[src][0]);
+    for (std::uint32_t j = 0; j < local_v; ++j) {
+      util::Reader sr(r.read_bytes(r.read<std::uint64_t>()));
+      State s;
+      s.deserialize(sr);
+      collect(src * local_v + j, s);
+    }
+  }
   return result;
 }
 

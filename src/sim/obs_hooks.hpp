@@ -96,21 +96,29 @@ inline void record_checkpoint(obs::Recorder* rec, std::uint64_t count,
                         static_cast<double>(latency_ns));
 }
 
-inline void export_recovery_stats(obs::Registry& reg,
-                                  const RecoveryStats& rc) {
+/// The per-disk recovery counters: retries, giveups and injected faults.
+/// Each processor's share is additive, so shares exported into one
+/// registry sum to the run-wide totals.
+inline void export_io_recovery_stats(obs::Registry& reg,
+                                     const RecoveryStats& rc) {
   reg.add("recovery.io_retries", rc.io_retries);
   reg.add("recovery.io_giveups", rc.io_giveups);
-  reg.add("recovery.superstep_rollbacks", rc.superstep_rollbacks);
-  reg.add("recovery.reorganize_rollbacks", rc.reorganize_rollbacks);
-  reg.set_gauge("recovery.checkpoints", static_cast<double>(rc.checkpoints));
-  reg.set_gauge("recovery.resume_epoch",
-                static_cast<double>(rc.resume_epoch));
   reg.add("faults.injected.read_errors", rc.faults.read_errors);
   reg.add("faults.injected.write_errors", rc.faults.write_errors);
   reg.add("faults.injected.torn_writes", rc.faults.torn_writes);
   reg.add("faults.injected.bit_flips", rc.faults.bit_flips);
   reg.add("faults.injected.latency_spikes", rc.faults.latency_spikes);
   reg.add("faults.injected.dead_range_hits", rc.faults.dead_range_hits);
+}
+
+inline void export_recovery_stats(obs::Registry& reg,
+                                  const RecoveryStats& rc) {
+  export_io_recovery_stats(reg, rc);
+  reg.add("recovery.superstep_rollbacks", rc.superstep_rollbacks);
+  reg.add("recovery.reorganize_rollbacks", rc.reorganize_rollbacks);
+  reg.set_gauge("recovery.checkpoints", static_cast<double>(rc.checkpoints));
+  reg.set_gauge("recovery.resume_epoch",
+                static_cast<double>(rc.resume_epoch));
 }
 
 }  // namespace embsp::sim

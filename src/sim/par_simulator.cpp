@@ -1,52 +1,16 @@
 #include "sim/par_simulator.hpp"
 
-#include "em/uring_backend.hpp"
-
 namespace embsp::sim {
 
 ParSimulator::ParSimulator(
     SimConfig cfg,
-    std::function<std::unique_ptr<em::Backend>(std::size_t)> backend)
-    : cfg_(cfg) {
-  cfg_.machine.validate();
-  // Resolve the self-tuned knobs before the engine options read them.
-  LayoutPlanner::apply_auto_tune(cfg_);
-  if (cfg_.faults.enabled()) {
-    fault_counters_ = std::make_shared<em::FaultCounters>();
-  }
-  // Default the uring engine to kernel-native scratch files, keyed by the
-  // machine-wide drive index below so every (proc, disk) pair gets its own
-  // file.  A caller-supplied factory always wins; the fault decorator wraps
-  // either, keeping the per-disk call schedule engine-independent.
-  if (cfg_.io_engine == em::IoEngine::uring && !backend) {
-    em::UringConfig ucfg;
-    ucfg.direct = cfg_.direct_io;
-    backend = em::make_uring_scratch_factory(cfg_.disk_dir, "par", ucfg);
-  }
-  em::DiskArrayOptions opts;
-  opts.retry = cfg_.retry;
-  opts.verify_checksums = cfg_.block_checksums;
-  // Coalescing must not shift the deterministic fault schedule (a retried
-  // run would replay calls for tracks that already succeeded).
-  opts.coalesce = cfg_.coalesce_io && !cfg_.faults.enabled();
-  // `global` takes a machine-wide drive index: the fault schedule is keyed
-  // by that index, so every drive of every processor gets its own
-  // decorrelated stream.  With faults disabled this is `backend` unchanged.
-  auto global = em::wrap_with_faults(backend, cfg_.faults, cfg_.seed,
-                                     fault_counters_);
-  disk_arrays_.reserve(cfg_.machine.p);
-  for (std::uint32_t i = 0; i < cfg_.machine.p; ++i) {
-    // Give each processor's drives distinct global indices so file-backed
-    // setups do not collide.
-    auto make = global
-                    ? std::function<std::unique_ptr<em::Backend>(std::size_t)>(
-                          [global, i, this](std::size_t d) {
-                            return global(i * cfg_.machine.em.D + d);
-                          })
-                    : nullptr;
-    disk_arrays_.push_back(em::make_disk_array(
-        cfg_.io_engine, cfg_.machine.em.D, cfg_.machine.em.B,
-        std::move(make), /*capacity_tracks_per_disk=*/0, opts));
+    std::function<std::unique_ptr<em::Backend>(std::size_t)> backend) {
+  cfg.machine.validate();
+  group_ = net::make_loopback_group(cfg.machine.p, /*timeout_ms=*/0);
+  ranks_.reserve(group_.size());
+  for (auto& tp : group_) {
+    ranks_.push_back(std::make_unique<DistSimulator>(cfg, *tp, backend));
+    ranks_.back()->in_process_ = true;
   }
 }
 

@@ -11,7 +11,9 @@
 //     tallies to an uninterrupted run;
 //   * the parallel simulator's coordinated rollback re-executes a failed
 //     superstep across ALL processors and still completes with the
-//     fault-free answer.
+//     fault-free answer;
+//   * both hold with the p ranks on a real socket mesh, where every
+//     verdict, checkpoint record and resume handoff crosses the wire.
 //
 // Carries the `recovery` ctest label; the sanitizer presets re-run it.
 #include <gtest/gtest.h>
@@ -24,11 +26,14 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
+#include "cgm/runner.hpp"
 #include "em/fault_backend.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/par_simulator.hpp"
 #include "sim/seq_simulator.hpp"
+#include "rank_groups.hpp"
 #include "test_programs.hpp"
 #include "util/checksum.hpp"
 
@@ -37,6 +42,7 @@ namespace {
 
 namespace fs = std::filesystem;
 using embsp::testing::IrregularProgram;
+using embsp::testing::SocketRanks;
 
 // IrregularProgram plus a cancellation trigger: during superstep
 // `cancel_at` the cancel flag is raised, so the simulator stops at the
@@ -93,24 +99,36 @@ std::vector<std::uint64_t> run_sim(const SimConfig& cfg, SimResult& result,
   return sums;
 }
 
-void expect_same_costs(const SimResult& a, const SimResult& b) {
+template <typename T>
+std::vector<std::byte> raw_bytes(const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::vector<std::byte> out(sizeof(T));
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+void expect_same_superstep_costs(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.lambda(), b.lambda());
   ASSERT_EQ(a.costs.supersteps.size(), b.costs.supersteps.size());
   for (std::size_t i = 0; i < a.costs.supersteps.size(); ++i) {
-    EXPECT_EQ(a.costs.supersteps[i].max_work, b.costs.supersteps[i].max_work)
-        << "superstep " << i;
-    EXPECT_EQ(a.costs.supersteps[i].total_work,
-              b.costs.supersteps[i].total_work)
-        << "superstep " << i;
-    EXPECT_EQ(a.costs.supersteps[i].max_wire_sent,
-              b.costs.supersteps[i].max_wire_sent)
+    EXPECT_EQ(raw_bytes(a.costs.supersteps[i]),
+              raw_bytes(b.costs.supersteps[i]))
         << "superstep " << i;
   }
-  EXPECT_EQ(a.total_io.parallel_ios, b.total_io.parallel_ios);
-  EXPECT_EQ(a.total_io.blocks_read, b.total_io.blocks_read);
-  EXPECT_EQ(a.total_io.blocks_written, b.total_io.blocks_written);
-  EXPECT_EQ(a.total_io.bytes_read, b.total_io.bytes_read);
-  EXPECT_EQ(a.total_io.bytes_written, b.total_io.bytes_written);
+}
+
+void expect_same_io(const SimResult& a, const SimResult& b) {
+  EXPECT_EQ(raw_bytes(a.total_io), raw_bytes(b.total_io));
+  ASSERT_EQ(a.per_proc_io.size(), b.per_proc_io.size());
+  for (std::size_t i = 0; i < a.per_proc_io.size(); ++i) {
+    EXPECT_EQ(raw_bytes(a.per_proc_io[i]), raw_bytes(b.per_proc_io[i]))
+        << "processor " << i;
+  }
+}
+
+void expect_same_costs(const SimResult& a, const SimResult& b) {
+  expect_same_superstep_costs(a, b);
+  expect_same_io(a, b);
 }
 
 // --- CheckpointDir: format, torn files, fallback ----------------------------
@@ -446,53 +464,77 @@ TEST(CrashRestart, KillNineMidRunThenResumeMatches) {
 }
 
 // --- Parallel simulator: resume + coordinated rollback ----------------------
+//
+// Each case runs on ParSimulator (p ranks over the in-process loopback
+// group) and on SocketRanks (the same ranks over a unix-socket mesh).
 
+template <typename Sim>
 void par_cancel_resume_case(em::IoEngine engine, bool recovery,
                             const std::string& tag) {
   auto cfg = base_config(2, 16, engine);
   cfg.superstep_recovery = recovery;
   cfg.checkpoint.dir = fresh_dir(tag + "_base");
   SimResult base_res;
-  const auto expected = run_sim<ParSimulator>(cfg, base_res);
+  const auto expected = run_sim<Sim>(cfg, base_res);
 
   auto killed = cfg;
   killed.checkpoint.dir = fresh_dir(tag);
   std::atomic<bool> cancel{false};
   killed.cancel = &cancel;
   SimResult dead_res;
-  EXPECT_THROW(run_sim<ParSimulator>(killed, dead_res, &cancel, 1),
-               CanceledError);
+  EXPECT_THROW(run_sim<Sim>(killed, dead_res, &cancel, 1), CanceledError);
 
   auto resumed = cfg;
   resumed.checkpoint.dir = killed.checkpoint.dir;
   resumed.checkpoint.resume = true;
   SimResult res;
-  const auto got = run_sim<ParSimulator>(resumed, res);
+  const auto got = run_sim<Sim>(resumed, res);
   EXPECT_EQ(got, expected) << tag;
   expect_same_costs(base_res, res);
   EXPECT_GT(res.recovery.resume_epoch, 0u);
 }
 
 TEST(ParResume, CancelThenResumeParallelEngine) {
-  par_cancel_resume_case(em::IoEngine::parallel, false, "par_plain");
+  par_cancel_resume_case<ParSimulator>(em::IoEngine::parallel, false,
+                                       "par_plain");
 }
 
 TEST(ParResume, CancelThenResumeWithJournaledContexts) {
-  par_cancel_resume_case(em::IoEngine::parallel, true, "par_journal");
+  par_cancel_resume_case<ParSimulator>(em::IoEngine::parallel, true,
+                                       "par_journal");
 }
 
 TEST(ParResume, CancelThenResumeUring) {
-  par_cancel_resume_case(em::IoEngine::uring, false, "par_uring");
+  par_cancel_resume_case<ParSimulator>(em::IoEngine::uring, false,
+                                       "par_uring");
 }
 
-void par_rollback_case(em::IoEngine engine, const std::string& tag) {
+TEST(SocketResume, CancelThenResumeParallelEngine) {
+  par_cancel_resume_case<SocketRanks>(em::IoEngine::parallel, false,
+                                      "sock_plain");
+}
+
+TEST(SocketResume, CancelThenResumeWithJournaledContexts) {
+  par_cancel_resume_case<SocketRanks>(em::IoEngine::parallel, true,
+                                      "sock_journal");
+}
+
+TEST(SocketResume, CancelThenResumeUring) {
+  par_cancel_resume_case<SocketRanks>(em::IoEngine::uring, false,
+                                      "sock_uring");
+}
+
+/// Leaves the recovered run's result in `res`.
+template <typename Sim>
+void par_rollback_case(em::IoEngine engine, const std::string& tag,
+                       SimResult& res) {
   // Clean reference: coordinated recovery on (journaled banks change the
   // disk layout, so the reference must run the same layout).
   auto clean = base_config(2, 16, engine);
   clean.superstep_recovery = true;
   clean.block_checksums = true;
   SimResult clean_res;
-  const auto expected = run_sim<ParSimulator>(clean, clean_res);
+  const auto expected = run_sim<Sim>(clean, clean_res);
 
   // Hostile run: a burst longer than the retry budget on proc 0's disk 0,
   // placed mid-run.  The giveup must trigger a rollback of ALL processors
@@ -507,19 +549,55 @@ void par_rollback_case(em::IoEngine engine, const std::string& tag) {
   hostile.faults.bursts.push_back(
       {0u, proc0_calls / 2,
        static_cast<std::uint64_t>(hostile.retry.max_attempts)});
-  SimResult res;
-  const auto got = run_sim<ParSimulator>(hostile, res);
+  const auto got = run_sim<Sim>(hostile, res);
   EXPECT_EQ(got, expected) << tag;
+  expect_same_superstep_costs(clean_res, res);
   EXPECT_EQ(res.recovery.io_giveups, 1u) << tag;
   EXPECT_GE(res.recovery.total_rollbacks(), 1u) << tag;
 }
 
 TEST(ParRecovery, CoordinatedRollbackCompletesParallelEngine) {
-  par_rollback_case(em::IoEngine::parallel, "rollback_parallel");
+  SimResult res;
+  par_rollback_case<ParSimulator>(em::IoEngine::parallel,
+                                  "rollback_parallel", res);
 }
 
 TEST(ParRecovery, CoordinatedRollbackCompletesUring) {
-  par_rollback_case(em::IoEngine::uring, "rollback_uring");
+  SimResult res;
+  par_rollback_case<ParSimulator>(em::IoEngine::uring, "rollback_uring", res);
+}
+
+// A rollback re-executes I/O, so a recovered run's IoStats exceed the clean
+// run's — but not between transports: the in-process run pays the same.
+TEST(SocketRecovery, CoordinatedRollbackCompletesParallelEngine) {
+  SimResult loop, sock;
+  par_rollback_case<ParSimulator>(em::IoEngine::parallel, "loop_rb", loop);
+  par_rollback_case<SocketRanks>(em::IoEngine::parallel, "sock_rb", sock);
+  expect_same_io(loop, sock);
+}
+
+TEST(SocketRecovery, CoordinatedRollbackCompletesUring) {
+  SimResult loop, sock;
+  par_rollback_case<ParSimulator>(em::IoEngine::uring, "loop_rb_u", loop);
+  par_rollback_case<SocketRanks>(em::IoEngine::uring, "sock_rb_u", sock);
+  expect_same_io(loop, sock);
+}
+
+TEST(SocketRecovery, RetryBudgetExhaustionStillSurfacesError) {
+  auto cfg = base_config(2, 16, em::IoEngine::parallel);
+  cfg.superstep_recovery = true;
+  cfg.block_checksums = true;
+  cfg.max_superstep_retries = 1;
+  cfg.faults.seed = 5;
+  cfg.faults.bursts.push_back({0u, 8u, 100000u});
+  SimResult res;
+  try {
+    run_sim<SocketRanks>(cfg, res);
+    FAIL() << "expected the giveup to surface";
+  } catch (const net::NetError& e) {
+    FAIL() << "root cause lost to a transport echo: " << e.what();
+  } catch (const em::IoError&) {
+  }
 }
 
 TEST(ParRecovery, RetryBudgetExhaustionStillSurfacesError) {
@@ -550,6 +628,50 @@ TEST(ParRecovery, AbortStillFlushesRegistry) {
   recorder.registry.write_json(json);
   EXPECT_NE(json.str().find("recovery.io_giveups"), std::string::npos);
   EXPECT_NE(json.str().find("faults.injected"), std::string::npos);
+}
+
+/// Two simulations with distinct inputs through one DistEmExec per rank of
+/// a 2-rank loopback group, the second canceled during superstep 1 when
+/// `cancel` is set.  Returns rank 0's collected checksums per run.
+std::vector<std::vector<std::uint64_t>> drive_two_runs(
+    const SimConfig& cfg, std::atomic<bool>* cancel) {
+  auto eps = net::make_loopback_group(2);
+  std::vector<std::vector<std::uint64_t>> sums(
+      2, std::vector<std::uint64_t>(cfg.machine.bsp.v));
+  embsp::testing::run_ranks(eps, [&](std::uint32_t r, net::Transport& tp) {
+    cgm::DistEmExec exec(cfg, tp);
+    for (std::uint64_t run = 0; run < 2; ++run) {
+      exec.run<CancelingProgram>(
+          CancelingProgram{{}, run == 1 ? cancel : nullptr, 1},
+          cfg.machine.bsp.v,
+          [run](std::uint32_t pid) {
+            CancelingProgram::State s;
+            s.checksum = run * 1000003 + pid;
+            return s;
+          },
+          [&, r, run](std::uint32_t vp, CancelingProgram::State& s) {
+            if (r == 0) sums[run][vp] = s.checksum;
+          });
+    }
+  });
+  return sums;
+}
+
+TEST(DistResume, MultiRunWorkloadResumesInterruptedRunOnly) {
+  // DistEmExec numbers its runs like the other executors, so restarted
+  // ranks re-execute the completed run and resume only the interrupted one
+  // instead of restoring its state into the wrong run.
+  auto cfg = base_config(2, 16, em::IoEngine::serial);
+  const auto expected = drive_two_runs(cfg, nullptr);
+  ASSERT_NE(expected[0], expected[1]);
+  cfg.checkpoint.dir = fresh_dir("dist_multirun");
+  auto killed = cfg;
+  std::atomic<bool> cancel{false};
+  killed.cancel = &cancel;
+  EXPECT_THROW(drive_two_runs(killed, &cancel), CanceledError);
+  auto resumed = cfg;
+  resumed.checkpoint.resume = true;
+  EXPECT_EQ(drive_two_runs(resumed, nullptr), expected);
 }
 
 TEST(ParCheckpoint, CheckpointingItselfChangesNothing) {

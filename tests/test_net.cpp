@@ -1,10 +1,11 @@
 // Transport-tier tests: unit tests for the loopback and socket backends and
-// the wire framing — and the cross-backend parity
-// suite, which pins the tentpole guarantee of the distributed simulator:
-// same seed, same workload → byte-identical final states, SuperstepCosts,
-// IoStats and fault histories on
-//   threaded ParSimulator  vs  loopback DistSimulator  vs  socket
-//   DistSimulator (full wire protocol over unix-domain sockets).
+// the wire framing — and the cross-backend parity suite, which pins the
+// guarantee of the Algorithm 3 rank loop: same seed, same workload →
+// byte-identical final states, SuperstepCosts, IoStats and fault histories
+// on
+//   ParSimulator (its own deadline-free loopback group)  vs  hand-driven
+//   loopback DistSimulator ranks  vs  socket DistSimulator ranks (full wire
+//   protocol over unix-domain sockets).
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +20,7 @@
 #include "obs/span.hpp"
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
+#include "rank_groups.hpp"
 #include "test_programs.hpp"
 #include "util/rng.hpp"
 #include "util/serialization.hpp"
@@ -28,8 +30,11 @@ namespace {
 
 using embsp::testing::BigMessageProgram;
 using embsp::testing::IrregularProgram;
+using embsp::testing::make_socket_group;
 using embsp::testing::PrefixSumProgram;
 using embsp::testing::RingProgram;
+using embsp::testing::run_ranks;
+using embsp::testing::unix_prefix;
 
 std::vector<std::byte> bytes_of(std::string_view s) {
   const auto* p = reinterpret_cast<const std::byte*>(s.data());
@@ -77,60 +82,6 @@ TEST(Frame, NetErrorsClassifyOnTheIoTaxonomy) {
 }
 
 // --- Transport behavior (parameterized over backends) -----------------------
-
-/// Runs `body(rank, transport)` on one thread per endpoint and rethrows the
-/// first failure.
-void run_ranks(std::vector<std::unique_ptr<net::Transport>>& eps,
-               const std::function<void(std::uint32_t, net::Transport&)>& body) {
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(eps.size());
-  for (std::uint32_t r = 0; r < eps.size(); ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        body(r, *eps[r]);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-}
-
-std::string unix_prefix(const std::string& tag) {
-  return (std::filesystem::temp_directory_path() /
-          ("embsp_net_" + tag + "_" + std::to_string(::getpid())))
-      .string();
-}
-
-/// Builds a p-endpoint socket mesh by running the handshakes concurrently
-/// (each constructor blocks until the full mesh is up).
-std::vector<std::unique_ptr<net::Transport>> make_socket_group(
-    std::uint32_t p, const std::string& tag) {
-  std::vector<std::unique_ptr<net::Transport>> eps(p);
-  std::vector<std::thread> threads;
-  std::vector<std::exception_ptr> errors(p);
-  for (std::uint32_t r = 0; r < p; ++r) {
-    threads.emplace_back([&, r] {
-      try {
-        net::SocketConfig cfg;
-        cfg.address = unix_prefix(tag);
-        cfg.rank = r;
-        cfg.peers = p;
-        eps[r] = net::make_socket_transport(cfg);
-      } catch (...) {
-        errors[r] = std::current_exception();
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (auto& e : errors) {
-    if (e) std::rethrow_exception(e);
-  }
-  return eps;
-}
 
 void exercise_ordering(std::vector<std::unique_ptr<net::Transport>>& eps) {
   const auto p = static_cast<std::uint32_t>(eps.size());
@@ -236,6 +187,18 @@ TEST(LoopbackTransport, MissingPeerTimesOut) {
   auto eps = net::make_loopback_group(2, /*timeout_ms=*/150);
   // Rank 1 never calls exchange().
   EXPECT_THROW(eps[0]->exchange(), net::PeerTimeoutError);
+}
+
+TEST(LoopbackTransport, DeadlineFreeGroupWaitsForStraggler) {
+  // ParSimulator's group: a straggling rank is slow, never lost.
+  auto eps = net::make_loopback_group(2, /*timeout_ms=*/0);
+  run_ranks(eps, [](std::uint32_t me, net::Transport& tp) {
+    if (me == 1) std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    const auto msg = bytes_of("late");
+    tp.post(1 - me, std::span<const std::byte>(msg));
+    const auto got = tp.exchange();
+    EXPECT_EQ(got[1 - me].at(0), msg);
+  });
 }
 
 TEST(SocketTransport, MissingPeerEndTimesOut) {
@@ -542,9 +505,9 @@ void expect_same_result(const SimResult& par, const SimResult& dist) {
   EXPECT_EQ(par.recovery.io_giveups, dist.recovery.io_giveups);
 }
 
-/// The tentpole assertion: ParSimulator (threads + mailboxes), DistSimulator
-/// over loopback, and DistSimulator over real sockets produce byte-identical
-/// everything.
+/// The central assertion: ParSimulator, DistSimulator ranks over a
+/// loopback group, and DistSimulator ranks over real sockets produce
+/// byte-identical everything.
 template <bsp::Program P>
 void expect_three_way_parity(
     const P& prog, SimConfig cfg,
@@ -660,8 +623,7 @@ TEST(DistParity, FaultScheduleMatchesUnderInjection) {
 TEST(DistParity, PipelinedPrefixSum) {
   // The overlapped schedule (ctx prefetch + write-behind + progress()-pumped
   // wire) changes only timing, never content: the three-way byte identity
-  // must hold with pipelining on.  ParSimulator runs its own pipelined
-  // worker schedule under the same config, so the layouts match too.
+  // must hold with pipelining on.
   PrefixSumProgram prog;
   expect_three_way_parity(prog,
                           pipelined(dist_config(4, 32, 2, 128, 64, 1400)),
@@ -698,9 +660,9 @@ TEST(DistParity, PipelinedMatchesBlockingSchedule) {
 }
 
 TEST(DistParity, PipelinedFaultScheduleMatchesUnderInjection) {
-  // The overlapped schedule mirrors the ParSimulator's pipelined worker
-  // submission order exactly, so the per-drive fault schedule — keyed by
-  // submission index — stays aligned across all three backends.
+  // Overlap leaves the disk submission order untouched, so the per-drive
+  // fault schedule — keyed by submission index — stays aligned across all
+  // three backends.
   IrregularProgram prog;
   auto cfg = pipelined(dist_config(2, 8, 2, 128, 64, 4096));
   cfg.faults.seed = cfg.seed;
@@ -713,20 +675,22 @@ TEST(DistParity, PipelinedFaultScheduleMatchesUnderInjection) {
 }
 
 TEST(DistSimulatorConfig, RejectsSharedMemoryOnlyFeatures) {
+  // Checkpoints, coordinated recovery and pipelining all run over the
+  // transport; only a machine that does not match it is rejected.
   auto eps = net::make_loopback_group(2);
   auto cfg = dist_config(2, 8, 2, 128, 64, 1024);
   {
-    auto bad = cfg;
-    bad.checkpoint.dir = "/tmp/nope";
-    EXPECT_THROW(DistSimulator(bad, *eps[0]), std::invalid_argument);
+    auto good = cfg;
+    good.checkpoint.dir =
+        (std::filesystem::temp_directory_path() / "embsp_net_ckpt").string();
+    EXPECT_NO_THROW(DistSimulator(good, *eps[0]));
   }
   {
-    auto bad = cfg;
-    bad.superstep_recovery = true;
-    EXPECT_THROW(DistSimulator(bad, *eps[0]), std::invalid_argument);
+    auto good = cfg;
+    good.superstep_recovery = true;
+    EXPECT_NO_THROW(DistSimulator(good, *eps[0]));
   }
   {
-    // Pipelining is per-rank-private and composes with a transport now.
     auto good = pipelined(cfg);
     EXPECT_NO_THROW(DistSimulator(good, *eps[0]));
   }

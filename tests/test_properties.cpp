@@ -4,8 +4,9 @@
 // transparency*: a BSP* program computes the same thing no matter which
 // executor runs it and no matter how the EM machine is shaped.  These
 // tests sweep machine shapes x routing modes x programs and assert
-// bit-identical results, plus structural properties of the layouts and
-// the analytic tail bounds.
+// bit-identical results, check that the knobs documented not to change
+// results do not, plus structural properties of the layouts and the
+// analytic tail bounds.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,7 +17,9 @@
 #include "sim/par_simulator.hpp"
 #include "sim/seq_simulator.hpp"
 #include "sim/tail_bounds.hpp"
+#include "rank_groups.hpp"
 #include "test_programs.hpp"
+#include "util/checksum.hpp"
 
 namespace embsp::sim {
 namespace {
@@ -126,6 +129,66 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(s.D) + "B" + std::to_string(s.B) + "k" +
              std::to_string(s.k) + mode;
     });
+
+// --- knob invariance -----------------------------------------------------------
+
+/// Final states, SuperstepCosts, total_io and per_proc_io, hashed together.
+template <typename Sim>
+std::uint64_t run_fingerprint(const SimConfig& cfg) {
+  std::vector<std::vector<std::byte>> states(cfg.machine.bsp.v);
+  Sim sim(cfg);
+  const auto r = sim.template run<IrregularProgram>(
+      IrregularProgram{},
+      [](std::uint32_t) { return IrregularProgram::State{}; },
+      [&](std::uint32_t pid, IrregularProgram::State& s) {
+        util::Writer w;
+        s.serialize(w);
+        states[pid] = w.take();
+      });
+  util::Writer w;
+  for (const auto& st : states) w.write_vector(st);
+  w.write_vector(r.costs.supersteps);
+  w.write<em::IoStats>(r.total_io);
+  w.write_vector(r.per_proc_io);
+  return util::checksum64(w.bytes());
+}
+
+TEST(KnobInvariance, OneFingerprintAcrossExecutionKnobs) {
+  // Executor, I/O engine, pipelining, compute width and coalescing change
+  // how a run executes, never what it computes or what it costs.  Seeded
+  // draws of all five, at a pinned k (so double-buffered contexts cannot
+  // shrink an auto-picked group size), must agree on one fingerprint.
+  util::Rng draw(0x6b6e6f62);
+  for (const std::uint32_t p : {2u, 3u}) {
+    SimConfig base;
+    base.machine.p = p;
+    base.machine.bsp.v = 12;
+    base.machine.em = {1 << 16, 2, 128, 1.0};
+    base.k = 2;
+    base.mu = 64;
+    base.gamma = 4096;
+    base.seed = 0x5eed;
+    const std::uint64_t want = run_fingerprint<ParSimulator>(base);
+    for (int trial = 0; trial < 10; ++trial) {
+      const std::uint64_t bits = draw.below(32);
+      const bool socket = (bits & 1) != 0;
+      auto cfg = base;
+      cfg.io_engine =
+          (bits & 2) != 0 ? em::IoEngine::parallel : em::IoEngine::serial;
+      cfg.pipeline = (bits & 4) != 0;
+      cfg.compute_threads = (bits & 8) != 0 ? 2 : 1;
+      cfg.coalesce_io = (bits & 16) != 0;
+      const std::uint64_t got =
+          socket ? run_fingerprint<testing::SocketRanks>(cfg)
+                 : run_fingerprint<ParSimulator>(cfg);
+      EXPECT_EQ(got, want) << "p=" << p << (socket ? " socket" : " loopback")
+                           << " parallel=" << ((bits & 2) != 0)
+                           << " pipeline=" << cfg.pipeline
+                           << " threads=" << cfg.compute_threads
+                           << " coalesce=" << cfg.coalesce_io;
+    }
+  }
+}
 
 // --- layout bijections -------------------------------------------------------
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "bsp/direct_runtime.hpp"
+#include "obs/span.hpp"
 #include "sim/par_simulator.hpp"
 #include "test_programs.hpp"
 
@@ -184,6 +185,60 @@ TEST(ParSimulator, RealCommunicationMetered) {
       [](std::uint32_t, PrefixSumProgram::State&) {});
   // The all-to-all pattern must move real bytes between real processors.
   EXPECT_GT(result.real_comm_bytes, 0u);
+}
+
+TEST(ParSimulator, RegistryHoldsRunWideCountersOnce) {
+  // The p ranks share the caller's registry: run-wide sim.*, routing.* and
+  // recovery.* entries are recorded once, per-rank engine entries and phase
+  // spans by every rank, and the loopback group's internals not at all.
+  IrregularProgram prog;
+  auto cfg = par_config(3, 12, 2, 128, 64, 4096);
+  cfg.faults.seed = cfg.seed;
+  cfg.faults.read_error_rate = 0.05;
+  cfg.block_checksums = true;
+  obs::Recorder recorder;
+  cfg.recorder = &recorder;
+  ParSimulator sim(cfg);
+  const auto result = sim.run<IrregularProgram>(
+      prog, [](std::uint32_t) { return IrregularProgram::State{}; },
+      [](std::uint32_t, IrregularProgram::State&) {});
+  const auto& reg = recorder.registry;
+  EXPECT_EQ(reg.counter("sim.supersteps"), result.lambda());
+  EXPECT_EQ(reg.counter("routing.blocks_total"),
+            result.routing_stats.blocks_total);
+  ASSERT_GT(result.recovery.io_retries, 0u);
+  EXPECT_EQ(reg.counter("recovery.io_retries"), result.recovery.io_retries);
+  EXPECT_EQ(reg.counter("phase.init.calls"), 3u);
+  for (std::uint32_t r = 0; r < 3; ++r) {
+    EXPECT_GT(reg.counter("proc." + std::to_string(r) + ".engine.disk.0.ops"),
+              0u)
+        << "rank " << r;
+  }
+  EXPECT_EQ(reg.counter("net.exchanges"), 0u);
+}
+
+TEST(ParSimulator, AbortedRunSumsEveryRanksRecoveryShare) {
+  // A run that dies never reaches the end-of-run allgather; each rank
+  // flushes its own share, so the giveup on rank 1's first drive still
+  // shows in the shared registry — and the root cause is rethrown, not a
+  // peer's echo of the abort.
+  IrregularProgram prog;
+  auto cfg = par_config(2, 8, 2, 128, 64, 4096);
+  cfg.faults.seed = 5;
+  cfg.faults.bursts.push_back({2u, 8u, 100000u});  // drive 1*D + 0
+  obs::Recorder recorder;
+  cfg.recorder = &recorder;
+  ParSimulator sim(cfg);
+  try {
+    sim.run<IrregularProgram>(
+        prog, [](std::uint32_t) { return IrregularProgram::State{}; },
+        [](std::uint32_t, IrregularProgram::State&) {});
+    FAIL() << "expected the giveup to abort the run";
+  } catch (const net::NetError& e) {
+    FAIL() << "root cause lost to a transport echo: " << e.what();
+  } catch (const em::IoError&) {
+  }
+  EXPECT_EQ(recorder.registry.counter("recovery.io_giveups"), 1u);
 }
 
 }  // namespace

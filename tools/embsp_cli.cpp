@@ -35,10 +35,11 @@
 //     --csv <path>     write the per-superstep cost trace (p=1 only)
 //     --faults <rate>  inject transient I/O faults at this per-call rate
 //                      (plus torn writes and bit flips at rate/2 each);
-//                      enables block checksums, retry/backoff and — for
-//                      p=1 — superstep-granular recovery.  Results are
-//                      identical to a fault-free run; the recovery rows
-//                      in the report show what the substrate absorbed.
+//                      enables block checksums, retry/backoff and
+//                      superstep-granular recovery (a unanimous rollback
+//                      of every rank when p > 1).  Results are identical
+//                      to a fault-free run; the recovery rows in the
+//                      report show what the substrate absorbed.
 //     --metrics <path> write a JSON metrics snapshot (per-phase wall/model
 //                      cost, per-disk service-time histograms, routing and
 //                      recovery counters; schema in src/obs/metrics.hpp)
@@ -87,12 +88,14 @@
 //                      outputs and model costs — two runs agree iff their
 //                      results and costs agree (the resume-equivalence
 //                      check the crash-restart harness scripts against)
-//     --transport <t>  loopback | socket — run the distributed simulator
-//                      (Algorithm 3 over the net/ transport tier) instead
-//                      of the shared-memory executors.  loopback drives p
-//                      in-process endpoints (byte-identical to the
-//                      threaded simulator); socket runs p real processes
-//                      over unix-domain or TCP sockets.
+//     --transport <t>  loopback | socket — give every Algorithm 3 rank its
+//                      own workload driver over the net/ transport tier.
+//                      loopback runs p ranks as threads of this process
+//                      (the ranks --p runs); socket runs p real processes
+//                      over unix-domain or TCP sockets.  --checkpoint,
+//                      --resume and --faults compose with both: rank 0
+//                      publishes and loads checkpoints, and a rollback is
+//                      agreed by every rank.
 //     --workers <p>    worker count for --transport (overrides --p)
 //     --listen <addr>  with --transport socket: mesh address — a
 //                      unix-socket path prefix, or host:port for TCP
@@ -372,16 +375,6 @@ bool parse(int argc, char** argv, Options& opt) {
                 << " out of range for --workers " << opt.p << "\n";
       return false;
     }
-    // Features whose protocols assume shared memory; DistSimulator rejects
-    // them too, but catching the combination here gives a usage-level
-    // message instead of a runtime error.  (--pipeline is NOT one of them:
-    // it composes with --transport — each rank runs the double-buffered
-    // schedule and overlaps wire traffic with compute.)
-    if (!opt.checkpoint_dir.empty()) {
-      std::cerr << "embsp: --checkpoint/--resume are not supported with "
-                   "--transport\n";
-      return false;
-    }
   }
   return true;
 }
@@ -538,19 +531,7 @@ int run_loopback(const Options& opt, const sim::SimConfig& cfg, Fn& fn) {
   for (auto& t : threads) t.join();
   // The rank that failed first aborted the group and its peers unwound
   // with PeerFailedError; surface the root cause, not the echo.
-  std::exception_ptr root, echo;
-  for (const auto& e : errors) {
-    if (!e) continue;
-    try {
-      std::rethrow_exception(e);
-    } catch (const net::PeerFailedError&) {
-      if (!echo) echo = e;
-    } catch (...) {
-      if (!root) root = e;
-    }
-  }
-  if (root) std::rethrow_exception(root);
-  if (echo) std::rethrow_exception(echo);
+  if (const auto e = net::root_cause(errors)) std::rethrow_exception(e);
   int worst = 0;
   for (const int r : rc) worst = std::max(worst, r);
   return worst;
@@ -667,11 +648,6 @@ int run_workload(const Options& opt, Fn fn) {
     // failed superstep; the parallel simulator rolls all processors back to
     // the last committed epoch together (coordinated recovery).
     cfg.superstep_recovery = true;
-  }
-  if (!opt.transport.empty()) {
-    // DistSimulator has no coordinated rollback protocol yet; transient
-    // injected faults are absorbed by per-transfer retry/backoff instead.
-    cfg.superstep_recovery = false;
   }
   cfg.checkpoint.dir = opt.checkpoint_dir;
   cfg.checkpoint.every = opt.checkpoint_every;
