@@ -31,38 +31,52 @@ std::byte* MemoryBackend::segment(std::uint64_t index, bool create) {
   return seg.get();
 }
 
-void MemoryBackend::read(std::uint64_t offset, std::span<std::byte> dst) {
-  std::size_t done = 0;
-  while (done < dst.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t idx = pos / kSegmentBytes;
-    const std::size_t within = static_cast<std::size_t>(pos % kSegmentBytes);
-    const std::size_t n =
-        std::min<std::size_t>(kSegmentBytes - within, dst.size() - done);
-    if (const std::byte* seg = segment(idx, /*create=*/false)) {
-      std::memcpy(dst.data() + done, seg + within, n);
-    } else {
-      // Never-written territory reads as zero (freshly formatted disk).
-      std::memset(dst.data() + done, 0, n);
+template <class Buf, class Copy>
+std::uint64_t MemoryBackend::for_each_piece(std::uint64_t offset,
+                                            std::span<const Buf> bufs,
+                                            bool create, Copy&& copy) {
+  std::uint64_t cached = UINT64_MAX;  // segment index `seg` resolves
+  std::byte* seg = nullptr;
+  for (const Buf& buf : bufs) {
+    std::size_t done = 0;
+    while (done < buf.size()) {
+      const std::uint64_t idx = offset / kSegmentBytes;
+      const auto within = static_cast<std::size_t>(offset % kSegmentBytes);
+      const std::size_t n =
+          std::min<std::size_t>(kSegmentBytes - within, buf.size() - done);
+      if (idx != cached) {
+        seg = segment(idx, create);
+        cached = idx;
+      }
+      copy(buf.subspan(done, n), seg != nullptr ? seg + within : nullptr);
+      done += n;
+      offset += n;
     }
-    done += n;
   }
+  return offset;
 }
 
-void MemoryBackend::write(std::uint64_t offset,
-                          std::span<const std::byte> src) {
-  std::size_t done = 0;
-  while (done < src.size()) {
-    const std::uint64_t pos = offset + done;
-    const std::uint64_t idx = pos / kSegmentBytes;
-    const std::size_t within = static_cast<std::size_t>(pos % kSegmentBytes);
-    const std::size_t n =
-        std::min<std::size_t>(kSegmentBytes - within, src.size() - done);
-    std::byte* seg = segment(idx, /*create=*/true);
-    std::memcpy(seg + within, src.data() + done, n);
-    done += n;
-  }
-  const std::uint64_t end = offset + src.size();
+void MemoryBackend::read_vec(std::uint64_t offset,
+                             std::span<const std::span<std::byte>> dsts) {
+  for_each_piece(offset, dsts, /*create=*/false,
+                 [](std::span<std::byte> dst, const std::byte* src) {
+                   if (src != nullptr) {
+                     std::memcpy(dst.data(), src, dst.size());
+                   } else {
+                     // Never-written territory reads as zero (freshly
+                     // formatted disk).
+                     std::memset(dst.data(), 0, dst.size());
+                   }
+                 });
+}
+
+void MemoryBackend::write_vec(
+    std::uint64_t offset, std::span<const std::span<const std::byte>> srcs) {
+  const std::uint64_t end = for_each_piece(
+      offset, srcs, /*create=*/true,
+      [](std::span<const std::byte> src, std::byte* dst) {
+        std::memcpy(dst, src.data(), src.size());
+      });
   std::uint64_t seen = size_.load(std::memory_order_relaxed);
   while (seen < end &&
          !size_.compare_exchange_weak(seen, end, std::memory_order_relaxed)) {

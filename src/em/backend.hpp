@@ -109,10 +109,22 @@ void release_backend_path(const std::string& key);
 /// the directory of segment pointers is the only shared structure, and it
 /// is guarded by a mutex held only while resolving/creating segments,
 /// never during the copies themselves.
+///
+/// The vectored calls are native: a coalesced run resolves each segment it
+/// crosses once (not once per track) and bumps the size high-water mark
+/// once per call.  read()/write() are their one-buffer case.
 class MemoryBackend final : public Backend {
  public:
-  void read(std::uint64_t offset, std::span<std::byte> dst) override;
-  void write(std::uint64_t offset, std::span<const std::byte> src) override;
+  void read(std::uint64_t offset, std::span<std::byte> dst) override {
+    read_vec(offset, {&dst, 1});
+  }
+  void write(std::uint64_t offset, std::span<const std::byte> src) override {
+    write_vec(offset, {&src, 1});
+  }
+  void read_vec(std::uint64_t offset,
+                std::span<const std::span<std::byte>> dsts) override;
+  void write_vec(std::uint64_t offset,
+                 std::span<const std::span<const std::byte>> srcs) override;
   [[nodiscard]] std::uint64_t size() const override {
     return size_.load(std::memory_order_relaxed);
   }
@@ -123,6 +135,13 @@ class MemoryBackend final : public Backend {
   /// Segment holding `offset`, created zero-filled on demand if `create`;
   /// nullptr when absent and !create.
   std::byte* segment(std::uint64_t index, bool create);
+
+  /// Walk the consecutive byte ranges of `bufs` from `offset`, calling
+  /// `copy(buffer_piece, segment_piece_or_null)` once per maximal piece
+  /// that stays inside one segment; returns the end offset.
+  template <class Buf, class Copy>
+  std::uint64_t for_each_piece(std::uint64_t offset, std::span<const Buf> bufs,
+                               bool create, Copy&& copy);
 
   mutable std::mutex mutex_;  ///< guards segments_ (directory only)
   std::vector<std::unique_ptr<std::byte[]>> segments_;

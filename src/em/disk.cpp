@@ -66,6 +66,7 @@ void Disk::write_track(std::uint64_t track, std::span<const std::byte> src) {
 
 void Disk::read_tracks(std::uint64_t first_track,
                        std::span<const std::span<std::byte>> dsts) {
+  if (dsts.empty()) return;
   for (std::size_t i = 0; i < dsts.size(); ++i) {
     check(first_track + i, dsts[i].size());
   }
@@ -88,14 +89,15 @@ void Disk::read_tracks(std::uint64_t first_track,
 
 void Disk::write_tracks(std::uint64_t first_track,
                         std::span<const std::span<const std::byte>> srcs) {
+  // An empty run touches nothing; without this return, `last` below would
+  // wrap at track 0 and shrink the checksum table to nothing.
+  if (srcs.empty()) return;
   for (std::size_t i = 0; i < srcs.size(); ++i) {
     check(first_track + i, srcs[i].size());
   }
   backend_->write_vec(first_track * block_size_, srcs);
   writes_ += srcs.size();
-  if (!srcs.empty()) {
-    tracks_used_ = std::max(tracks_used_, first_track + srcs.size());
-  }
+  tracks_used_ = std::max(tracks_used_, first_track + srcs.size());
   if (!verify_) return;
   const std::uint64_t last = first_track + srcs.size() - 1;
   if (last >= has_sum_.size()) {

@@ -74,40 +74,29 @@ void DiskArray::check_distinct(std::span<const std::uint32_t> disks) const {
   for (auto d : disks) seen_[d] = 0;
 }
 
-void DiskArray::run_transfer(const Transfer& t) {
+void DiskArray::run_transfer(const PendingOp& op, std::size_t index) {
+  const Transfer& t = op.transfers[index];
   auto& ds = engine_.per_disk[t.disk];
+  Disk& disk = *disks_[t.disk];
   const RetryPolicy& policy = options_.retry;
-  const std::size_t n = t.tracks();
-  // Span tables for the vectored path, built once per transfer (a retry
-  // reuses them — it replays the whole run, which is why the simulators
-  // disable coalescing when deterministic fault schedules are active).
-  std::vector<std::span<std::byte>> read_spans;
-  std::vector<std::span<const std::byte>> write_spans;
-  if (n > 1) {
-    if (t.dst != nullptr) {
-      read_spans.reserve(n);
-      read_spans.emplace_back(t.dst, t.len);
-      for (std::byte* p : t.more_dst) read_spans.emplace_back(p, t.len);
-    } else {
-      write_spans.reserve(n);
-      write_spans.emplace_back(t.src, t.len);
-      for (const std::byte* p : t.more_src) write_spans.emplace_back(p, t.len);
-    }
-  }
+  // A retry replays the whole run, which is why the simulators disable
+  // coalescing when deterministic fault schedules are active.
   for (std::uint32_t attempt = 1;; ++attempt) {
     const std::uint64_t t0 = now_ns();
     try {
-      if (t.dst != nullptr) {
-        if (n == 1) {
-          disks_[t.disk]->read_track(t.track, {t.dst, t.len});
+      if (op.is_read) {
+        const auto run = std::span(op.dst).subspan(t.first, t.tracks);
+        if (t.tracks == 1) {
+          disk.read_track(t.track, run[0]);
         } else {
-          disks_[t.disk]->read_tracks(t.track, read_spans);
+          disk.read_tracks(t.track, run);
         }
       } else {
-        if (n == 1) {
-          disks_[t.disk]->write_track(t.track, {t.src, t.len});
+        const auto run = std::span(op.src).subspan(t.first, t.tracks);
+        if (t.tracks == 1) {
+          disk.write_track(t.track, run[0]);
         } else {
-          disks_[t.disk]->write_tracks(t.track, write_spans);
+          disk.write_tracks(t.track, run);
         }
       }
       const std::uint64_t dt = now_ns() - t0;
@@ -130,9 +119,13 @@ void DiskArray::run_transfer(const Transfer& t) {
       }
     }
   }
-  ds.ops += n;
-  ds.bytes += t.len * n;
-  if (n > 1) ds.coalesced_tracks += n - 1;
+  // Every track of a run has the first one's length (submit_batch extends
+  // runs only over equal lengths).
+  const std::size_t len =
+      op.is_read ? op.dst[t.first].size() : op.src[t.first].size();
+  ds.ops += t.tracks;
+  ds.bytes += len * t.tracks;
+  if (t.tracks > 1) ds.coalesced_tracks += t.tracks - 1;
 }
 
 void DiskArray::PendingOp::complete(std::size_t index,
@@ -158,7 +151,7 @@ void DiskArray::start(const std::shared_ptr<PendingOp>& op) {
   std::exception_ptr err;
   for (; i < op->transfers.size(); ++i) {
     try {
-      run_transfer(op->transfers[i]);
+      run_transfer(*op, i);
     } catch (...) {
       err = std::current_exception();
       break;
@@ -184,6 +177,21 @@ DiskArray::IoToken DiskArray::launch(std::shared_ptr<PendingOp> op,
   return token;
 }
 
+namespace {
+std::span<std::byte> buffer_of(const ReadOp& o) { return o.dst; }
+std::span<const std::byte> buffer_of(const WriteOp& o) { return o.src; }
+
+/// The span table of `op` that ops of type Op fill.
+template <class Op, class PendingOp>
+auto& table_of(PendingOp& op) {
+  if constexpr (std::is_same_v<Op, ReadOp>) {
+    return op.dst;
+  } else {
+    return op.src;
+  }
+}
+}  // namespace
+
 template <class Op>
 DiskArray::IoToken DiskArray::submit(std::span<const Op> ops, bool is_read) {
   std::vector<std::uint32_t> ids;
@@ -193,16 +201,12 @@ DiskArray::IoToken DiskArray::submit(std::span<const Op> ops, bool is_read) {
   auto op = std::make_shared<PendingOp>();
   op->is_read = is_read;
   op->transfers.reserve(ops.size());
+  auto& table = table_of<Op>(*op);
+  table.reserve(ops.size());
   for (const auto& o : ops) {
-    if constexpr (std::is_same_v<Op, ReadOp>) {
-      op->transfers.push_back(
-          {o.disk, o.track, o.dst.data(), nullptr, o.dst.size()});
-      op->bytes += o.dst.size();
-    } else {
-      op->transfers.push_back(
-          {o.disk, o.track, nullptr, o.src.data(), o.src.size()});
-      op->bytes += o.src.size();
-    }
+    op->transfers.push_back({o.disk, o.track, table.size(), 1});
+    table.push_back(buffer_of(o));
+    op->bytes += table.back().size();
   }
   op->blocks = ops.size();
   return launch(std::move(op), ops.size());
@@ -215,22 +219,26 @@ DiskArray::IoToken DiskArray::submit_batch(std::span<const Op> ops,
   if (ops.empty()) {
     throw std::invalid_argument("DiskArray: empty batched I/O");
   }
-  // Partition op indices per disk, preserving op order — the per-disk
-  // execution order (and therefore any per-disk deterministic fault
-  // schedule) is exactly the order the caller listed the ops in.
-  std::vector<std::vector<std::size_t>> per_disk(disks_.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    if (ops[i].disk >= disks_.size()) {
+  // Counting sort of op indices by disk, preserving op order within each
+  // disk — the per-disk execution order (and therefore any per-disk
+  // deterministic fault schedule) is exactly the order the caller listed
+  // the ops in.  disk_fill_[d + 1] first counts disk d's ops, then the
+  // prefix sums turn disk_fill_[d] into disk d's first slot.
+  const std::size_t num_disks = disks_.size();
+  disk_fill_.assign(num_disks + 1, 0);
+  for (const Op& o : ops) {
+    if (o.disk >= num_disks) {
       throw std::out_of_range("DiskArray: disk index " +
-                              std::to_string(ops[i].disk));
+                              std::to_string(o.disk));
     }
-    per_disk[ops[i].disk].push_back(i);
+    ++disk_fill_[o.disk + 1];
   }
   std::size_t deepest = 0;
   std::size_t width = 0;
-  for (const auto& v : per_disk) {
-    deepest = std::max(deepest, v.size());
-    if (!v.empty()) ++width;
+  for (std::size_t d = 0; d < num_disks; ++d) {
+    deepest = std::max(deepest, disk_fill_[d + 1]);
+    if (disk_fill_[d + 1] != 0) ++width;
+    disk_fill_[d + 1] += disk_fill_[d];
   }
   if (cycles < deepest) {
     throw std::invalid_argument(
@@ -238,44 +246,33 @@ DiskArray::IoToken DiskArray::submit_batch(std::span<const Op> ops,
         " cycles but some disk needs " + std::to_string(deepest) +
         " (one track per disk per parallel I/O)");
   }
+  by_disk_.resize(ops.size());
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    by_disk_[disk_fill_[ops[i].disk]++] = i;
+  }
   auto op = std::make_shared<PendingOp>();
   op->is_read = is_read;
   op->cycles = cycles;
   op->blocks = ops.size();
-  for (std::size_t d = 0; d < per_disk.size(); ++d) {
-    const auto& idxs = per_disk[d];
-    for (std::size_t j = 0; j < idxs.size();) {
-      const Op& first = ops[idxs[j]];
-      Transfer t{};
-      t.disk = first.disk;
-      t.track = first.track;
-      if constexpr (std::is_same_v<Op, ReadOp>) {
-        t.dst = first.dst.data();
-        t.len = first.dst.size();
-      } else {
-        t.src = first.src.data();
-        t.len = first.src.size();
-      }
-      op->bytes += t.len;
-      std::size_t k = j + 1;
-      // Extend the run while the next op on this disk targets the very
-      // next track (physical adjacency is what preadv/pwritev require).
-      while (options_.coalesce && k < idxs.size() &&
-             ops[idxs[k]].track == ops[idxs[k - 1]].track + 1) {
-        const Op& next = ops[idxs[k]];
-        if constexpr (std::is_same_v<Op, ReadOp>) {
-          if (next.dst.size() != t.len) break;
-          t.more_dst.push_back(next.dst.data());
-        } else {
-          if (next.src.size() != t.len) break;
-          t.more_src.push_back(next.src.data());
-        }
-        op->bytes += t.len;
-        ++k;
-      }
-      op->transfers.push_back(std::move(t));
-      j = k;
+  auto& table = table_of<Op>(*op);
+  table.reserve(ops.size());
+  const Op* prev = nullptr;
+  for (const std::size_t i : by_disk_) {
+    const Op& o = ops[i];
+    const auto buf = buffer_of(o);
+    op->bytes += buf.size();
+    // Extend the run while the next op on this disk targets the very next
+    // track (physical adjacency is what preadv/pwritev require) with the
+    // same length.
+    if (options_.coalesce && prev != nullptr && prev->disk == o.disk &&
+        o.track == prev->track + 1 &&
+        buf.size() == table[op->transfers.back().first].size()) {
+      ++op->transfers.back().tracks;
+    } else {
+      op->transfers.push_back({o.disk, o.track, table.size(), 1});
     }
+    table.push_back(buf);
+    prev = &o;
   }
   return launch(std::move(op), width);
 }

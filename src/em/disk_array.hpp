@@ -225,22 +225,15 @@ class DiskArray {
   [[nodiscard]] std::uint64_t max_tracks_used() const;
 
  protected:
-  /// One per-disk transfer of a parallel I/O operation; exactly one of
-  /// `dst` / `src` is non-null.  A coalesced transfer carries extra
-  /// buffers in `more_dst`/`more_src`: buffer i holds track `track + 1 + i`
-  /// (all `len` bytes each), and the whole run executes as one vectored
-  /// backend call.
+  /// One per-disk transfer of a parallel I/O operation: the range
+  /// [first, first + tracks) of its operation's span table, holding tracks
+  /// `track`, `track + 1`, ... of `disk`.  A run of more than one track
+  /// (coalesced) executes as one vectored backend call on that subspan.
   struct Transfer {
-    std::uint32_t disk;
-    std::uint64_t track;
-    std::byte* dst = nullptr;
-    const std::byte* src = nullptr;
-    std::size_t len = 0;
-    std::vector<std::byte*> more_dst;
-    std::vector<const std::byte*> more_src;
-    [[nodiscard]] std::size_t tracks() const {
-      return 1 + (dst != nullptr ? more_dst.size() : more_src.size());
-    }
+    std::uint32_t disk = 0;
+    std::uint64_t track = 0;
+    std::size_t first = 0;
+    std::size_t tracks = 1;
   };
 
   /// One in-flight parallel I/O operation.  Transfer completions are
@@ -248,6 +241,10 @@ class DiskArray {
   /// lowest-index one, independent of completion order.
   struct PendingOp {
     std::vector<Transfer> transfers;
+    /// The operation's buffers, grouped by transfer (a read fills `dst`,
+    /// a write fills `src`); transfers name ranges of it.
+    std::vector<std::span<std::byte>> dst;
+    std::vector<std::span<const std::byte>> src;
     bool is_read = false;
     std::uint64_t cycles = 1;  ///< parallel I/Os charged when it settles
     std::uint64_t blocks = 0;
@@ -269,11 +266,11 @@ class DiskArray {
   /// enqueue one task per transfer on the owning drive's FIFO worker.
   virtual void start(const std::shared_ptr<PendingOp>& op);
 
-  /// Perform one transfer against the owning Disk, retrying retryable
-  /// IoErrors per the array's RetryPolicy (with per-disk jittered backoff),
-  /// and record per-disk engine stats including retries/giveups.  Safe to
-  /// call concurrently for *different* disks.
-  void run_transfer(const Transfer& t);
+  /// Perform transfer `index` of `op` against the owning Disk, retrying
+  /// retryable IoErrors per the array's RetryPolicy (with per-disk
+  /// jittered backoff), and record per-disk engine stats including
+  /// retries/giveups.  Safe to call concurrently for *different* disks.
+  void run_transfer(const PendingOp& op, std::size_t index);
 
   EngineStats engine_;
 
@@ -295,6 +292,8 @@ class DiskArray {
   std::vector<util::Rng> jitter_;  ///< per-disk backoff jitter streams
   IoStats stats_;
   mutable std::vector<std::uint8_t> seen_;  // scratch for distinctness check
+  std::vector<std::size_t> disk_fill_;  // batch scratch: per-disk cursor
+  std::vector<std::size_t> by_disk_;    // batch scratch: op indices by disk
   IoToken next_token_ = 1;
   std::map<IoToken, std::shared_ptr<PendingOp>> pending_;  // issuing thread
 };

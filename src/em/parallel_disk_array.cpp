@@ -47,7 +47,7 @@ void ParallelDiskArray::worker_loop(std::size_t disk) {
     }
     std::exception_ptr error;
     try {
-      run_transfer(task.op->transfers[task.index]);
+      run_transfer(*task.op, task.index);
     } catch (...) {
       error = std::current_exception();
     }

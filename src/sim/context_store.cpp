@@ -1,5 +1,6 @@
 #include "sim/context_store.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -49,11 +50,7 @@ std::pair<std::uint32_t, std::uint64_t> ContextStore::location_in_bank(
     std::uint32_t ctx, std::uint64_t block, std::uint8_t bank) const {
   const std::uint64_t d = disks_->num_disks();
   const auto disk = static_cast<std::uint32_t>((ctx + block) % d);
-  return {disk,
-          start_tracks_[disk] +
-              (static_cast<std::uint64_t>(bank) * num_contexts_ + ctx) *
-                  band_ +
-              block / d};
+  return {disk, band_start(disk, ctx, bank) + block / d};
 }
 
 std::pair<std::uint32_t, std::uint64_t> ContextStore::location(
@@ -135,25 +132,52 @@ void ContextStore::restore_context(std::uint32_t ctx, util::Reader& r) {
   lengths_[ctx] = len;
 }
 
+template <class Push>
+std::uint64_t ContextStore::for_each_block(const PendingIo& io,
+                                           std::uint8_t bank_flip,
+                                           Push&& push) const {
+  const auto num_disks = static_cast<std::uint32_t>(disks_->num_disks());
+  const std::size_t stride = num_disks * block_size_;
+  const std::uint32_t first_mod = io.first % num_disks;
+  std::uint64_t deepest = 0;
+  for (std::uint32_t d = 0; d < num_disks; ++d) {
+    std::uint64_t on_disk = 0;
+    // Context j's first block on disk d is (d - j) mod D: start at
+    // io.first and step it down by one per following context.
+    std::uint32_t b0 = (d + num_disks - first_mod) % num_disks;
+    for (std::uint32_t i = 0; i < io.count; ++i) {
+      const std::uint64_t used = blocks_for(io.len[i]);
+      if (b0 < used) {
+        const std::uint32_t ctx = io.first + i;
+        const std::uint8_t bank =
+            journaled_ ? static_cast<std::uint8_t>(bank_[ctx] ^ bank_flip) : 0;
+        std::uint64_t track = band_start(d, ctx, bank);
+        std::size_t offset = io.ctx_offset[i] + b0 * block_size_;
+        for (std::uint64_t b = b0; b < used; b += num_disks) {
+          push(d, track++, offset);
+          offset += stride;
+          ++on_disk;
+        }
+      }
+      b0 = b0 == 0 ? num_disks - 1 : b0 - 1;
+    }
+    deepest = std::max(deepest, on_disk);
+  }
+  return deepest;
+}
+
 void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
                                 const EmitFn& emit, PendingIo& io) {
   if (first + count > num_contexts_) {
     throw std::out_of_range("ContextStore::write: context range");
   }
-  const std::uint64_t d = disks_->num_disks();
   io.tokens.clear();
   io.buf.clear();  // keeps capacity: the staging buffer is grow-only
   io.first = first;
   io.count = count;
   io.active = true;
-  // Stage all used blocks, then drain per-disk queues one op per disk per
-  // parallel I/O — the rotated layout keeps the queues balanced.
-  struct Op {
-    std::uint32_t disk;
-    std::uint64_t track;
-    std::size_t offset;
-  };
-  std::vector<std::vector<Op>> queues(d);
+  io.ctx_offset.resize(count);
+  io.len.resize(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     // Slot format [u32 len][payload][zero pad]: serialize straight into the
     // staging buffer behind a length placeholder, then zero only the pad
@@ -172,16 +196,9 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
     }
     const auto len = static_cast<std::uint32_t>(payload);
     std::memcpy(io.buf.data() + offset, &len, kLenPrefix);
-    const std::uint64_t used = blocks_for(payload);
-    io.buf.resize(offset + used * block_size_);
-    // Journaled: write the non-live bank and leave the committed copy (the
-    // checkpoint) untouched until commit_epoch().
-    const std::uint8_t bank =
-        journaled_ ? static_cast<std::uint8_t>(bank_[first + i] ^ 1) : 0;
-    for (std::uint64_t b = 0; b < used; ++b) {
-      const auto [disk, track] = location_in_bank(first + i, b, bank);
-      queues[disk].push_back(Op{disk, track, offset + b * block_size_});
-    }
+    io.buf.resize(offset + blocks_for(payload) * block_size_);
+    io.ctx_offset[i] = offset;
+    io.len[i] = len;
     if (journaled_) {
       pending_lengths_[first + i] = len;
       dirty_[first + i] = 1;
@@ -189,23 +206,21 @@ void ContextStore::write_submit(std::uint32_t first, std::uint32_t count,
       lengths_[first + i] = len;
     }
   }
-  // One batched submission, pre-declared at the cost the old round-robin
-  // drain charged: max per-disk queue depth parallel I/Os (one track per
-  // disk per round).  Per-disk op order stays the queue order, and a
-  // context's blocks on one disk sit on consecutive tracks, so runs
-  // coalesce into vectored backend transfers.
-  std::uint64_t deepest = 0;
-  std::vector<em::WriteOp> ops;
-  for (const auto& q : queues) {
-    deepest = std::max<std::uint64_t>(deepest, q.size());
-    for (const Op& op : q) {
-      ops.push_back({op.disk, op.track,
-                     std::span<const std::byte>(io.buf)
-                         .subspan(op.offset, block_size_)});
-    }
-  }
-  if (!ops.empty()) {
-    io.tokens.push_back(disks_->submit_write_batch(ops, deepest));
+  // Spans are taken only once staging is complete (serializing may
+  // reallocate the buffer).  One batched submission, pre-declared at the
+  // deepest per-disk block count — one track per disk per parallel I/O.
+  // Journaled: write the non-live bank and leave the committed copy (the
+  // checkpoint) untouched until commit_epoch().
+  const std::span<const std::byte> staged(io.buf);
+  io.writes.clear();
+  const std::uint64_t deepest = for_each_block(
+      io, /*bank_flip=*/1,
+      [&](std::uint32_t disk, std::uint64_t track, std::size_t offset) {
+        io.writes.push_back(
+            {disk, track, staged.subspan(offset, block_size_)});
+      });
+  if (!io.writes.empty()) {
+    io.tokens.push_back(disks_->submit_write_batch(io.writes, deepest));
   }
 }
 
@@ -237,52 +252,35 @@ void ContextStore::read_submit(std::uint32_t first, std::uint32_t count,
   if (first + count > num_contexts_) {
     throw std::out_of_range("ContextStore::read: context range");
   }
-  const std::uint64_t d = disks_->num_disks();
   io.tokens.clear();
   io.first = first;
   io.count = count;
   io.active = true;
-  struct Op {
-    std::uint32_t disk;
-    std::uint64_t track;
-    std::size_t offset;
-  };
-  std::vector<std::vector<Op>> queues(d);
   io.ctx_offset.resize(count);
-  io.expected_len.resize(count);
+  io.len.resize(count);
   std::size_t staged = 0;
   for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint64_t used = blocks_for(lengths_[first + i]);
     io.ctx_offset[i] = staged;
-    io.expected_len[i] = lengths_[first + i];
-    for (std::uint64_t b = 0; b < used; ++b) {
-      const auto [disk, track] = location(first + i, b);
-      queues[disk].push_back(Op{disk, track, staged + b * block_size_});
-    }
-    staged += used * block_size_;
+    io.len[i] = lengths_[first + i];
+    staged += blocks_for(io.len[i]) * block_size_;
   }
   // Grow-only: every staged byte is overwritten by the reads, so stale
   // contents need no clearing.
   if (io.buf.size() < staged) io.buf.resize(staged);
-  // Mirror of write_submit's batching: one submission, cycles = max
-  // per-disk queue depth, per-disk order = queue order.
-  std::uint64_t deepest = 0;
-  std::vector<em::ReadOp> ops;
-  for (const auto& q : queues) {
-    deepest = std::max<std::uint64_t>(deepest, q.size());
-    for (const Op& op : q) {
-      ops.push_back({op.disk, op.track,
-                     std::span<std::byte>(io.buf).subspan(op.offset,
-                                                          block_size_)});
-    }
-  }
-  if (!ops.empty()) {
-    io.tokens.push_back(disks_->submit_read_batch(ops, deepest));
+  // Mirror of write_submit's batching, from the live bank.
+  const std::span<std::byte> buf(io.buf);
+  io.reads.clear();
+  const std::uint64_t deepest = for_each_block(
+      io, /*bank_flip=*/0,
+      [&](std::uint32_t disk, std::uint64_t track, std::size_t offset) {
+        io.reads.push_back({disk, track, buf.subspan(offset, block_size_)});
+      });
+  if (!io.reads.empty()) {
+    io.tokens.push_back(disks_->submit_read_batch(io.reads, deepest));
   }
 }
 
-void ContextStore::read_wait(PendingIo& io,
-                             std::vector<std::vector<std::byte>>& out) {
+void ContextStore::read_wait(PendingIo& io, Views& out) {
   if (!io.active) {
     throw std::logic_error("ContextStore::read_wait: no read in flight");
   }
@@ -290,29 +288,32 @@ void ContextStore::read_wait(PendingIo& io,
   io.tokens.clear();
   io.active = false;
   out.resize(io.count);
+  const std::span<const std::byte> staged(io.buf);
   for (std::uint32_t i = 0; i < io.count; ++i) {
     std::uint32_t len = 0;
-    std::memcpy(&len, io.buf.data() + io.ctx_offset[i], kLenPrefix);
-    if (len != io.expected_len[i] || len > max_context_bytes_) {
+    std::memcpy(&len, staged.data() + io.ctx_offset[i], kLenPrefix);
+    if (len != io.len[i] || len > max_context_bytes_) {
       throw std::runtime_error(
           "ContextStore: corrupted context slot for processor " +
           std::to_string(io.first + i));
     }
-    const auto* src = io.buf.data() + io.ctx_offset[i] + kLenPrefix;
-    out[i].assign(src, src + len);
+    out[i] = staged.subspan(io.ctx_offset[i] + kLenPrefix, len);
   }
 }
 
 void ContextStore::read_into(std::uint32_t first, std::uint32_t count,
-                             std::vector<std::vector<std::byte>>& out) {
+                             Views& out) {
   read_submit(first, count, sync_io_);
   read_wait(sync_io_, out);
 }
 
 std::vector<std::vector<std::byte>> ContextStore::read(std::uint32_t first,
                                                        std::uint32_t count) {
+  Views views;
+  read_into(first, count, views);
   std::vector<std::vector<std::byte>> out;
-  read_into(first, count, out);
+  out.reserve(views.size());
+  for (const auto v : views) out.emplace_back(v.begin(), v.end());
   return out;
 }
 

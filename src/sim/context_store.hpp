@@ -19,6 +19,16 @@
 // actually occupies.  The layout (and hence full disk parallelism) is
 // unchanged; supersteps in which contexts are small cost proportionally
 // less I/O.
+//
+// Copy discipline: a fetch copies each byte disk -> staging -> state, a
+// write-back state -> staging -> disk, and nothing more.  Reads hand out
+// views into the staging buffer of their PendingIo instead of copies; a
+// view stays valid until the next submit on the same PendingIo (for the
+// blocking calls, which share one internal PendingIo, until the next
+// blocking read or write).  Each batch's op list is built disk by disk —
+// on disk d, context j holds blocks b = (d - j) mod D, b + D, b + 2D, ...
+// on consecutive tracks of its band — so per-disk runs come out in order
+// with no per-block division or per-disk queue.
 #pragma once
 
 #include <cstdint>
@@ -63,16 +73,21 @@ class ContextStore {
   /// per-context vector).
   using EmitFn = std::function<void(std::uint32_t ctx, util::Writer& w)>;
 
+  /// Payload views into a PendingIo's staging buffer, one per context.
+  using Views = std::vector<std::span<const std::byte>>;
+
   /// One in-flight read or write of a contiguous context range: the staged
-  /// bytes, per-context offsets into them, and the completion tokens of the
-  /// submitted parallel I/Os.  Owned by the caller so the pipelined
-  /// simulator can double-buffer; reused across supersteps (grow-only
-  /// buffer).
+  /// bytes, per-context offsets and lengths, the batch's op list, and the
+  /// completion tokens of the submitted parallel I/Os.  Owned by the caller
+  /// so the pipelined simulator can double-buffer; reused across supersteps
+  /// (grow-only buffers).
   struct PendingIo {
     std::vector<em::DiskArray::IoToken> tokens;
     std::vector<std::byte> buf;
     std::vector<std::size_t> ctx_offset;
-    std::vector<std::uint32_t> expected_len;  ///< read: length at submission
+    std::vector<std::uint32_t> len;  ///< payload length at submission
+    std::vector<em::ReadOp> reads;   ///< op list of the last read batch
+    std::vector<em::WriteOp> writes;  ///< op list of the last write batch
     std::uint32_t first = 0;
     std::uint32_t count = 0;
     bool active = false;
@@ -88,15 +103,16 @@ class ContextStore {
   /// span overload).
   void write(std::uint32_t first, std::uint32_t count, const EmitFn& emit);
 
-  /// Read contexts [first, first+count); returns one byte vector per
-  /// context (exactly the bytes previously written).
+  /// Read contexts [first, first+count); returns a copy of each payload
+  /// (exactly the bytes previously written).  For tests and tools — the
+  /// simulators use the view-returning read_into.
   [[nodiscard]] std::vector<std::vector<std::byte>> read(std::uint32_t first,
                                                          std::uint32_t count);
 
-  /// Reusable-buffer variant of read(): fills `out[i]` with the payload of
-  /// context first+i, recycling the vectors' capacity.
-  void read_into(std::uint32_t first, std::uint32_t count,
-                 std::vector<std::vector<std::byte>>& out);
+  /// Blocking read of contexts [first, first+count): `out[i]` views the
+  /// payload of context first+i in the store's internal staging, valid
+  /// until the next blocking read or write.
+  void read_into(std::uint32_t first, std::uint32_t count, Views& out);
 
   // --- Asynchronous paths (pipelined simulator) ----------------------------
   //
@@ -108,7 +124,9 @@ class ContextStore {
   // submission, exactly when the blocking calls update it.
 
   void read_submit(std::uint32_t first, std::uint32_t count, PendingIo& io);
-  void read_wait(PendingIo& io, std::vector<std::vector<std::byte>>& out);
+  /// Settle `io`'s read; `out[i]` views context io.first+i's payload in
+  /// io.buf, valid until the next submit on `io`.
+  void read_wait(PendingIo& io, Views& out);
   void write_submit(std::uint32_t first, std::uint32_t count,
                     const EmitFn& emit, PendingIo& io);
   void write_wait(PendingIo& io);
@@ -159,6 +177,23 @@ class ContextStore {
   /// Placement of context `ctx`'s block `block` in bank `bank`.
   [[nodiscard]] std::pair<std::uint32_t, std::uint64_t> location_in_bank(
       std::uint32_t ctx, std::uint64_t block, std::uint8_t bank) const;
+
+  /// First track of context `ctx`'s band in bank `bank` on disk `disk`.
+  [[nodiscard]] std::uint64_t band_start(std::uint32_t disk, std::uint32_t ctx,
+                                         std::uint8_t bank) const {
+    return start_tracks_[disk] +
+           (static_cast<std::uint64_t>(bank) * num_contexts_ + ctx) * band_;
+  }
+
+  /// Walk io's blocks disk by disk from io.ctx_offset/io.len: for each
+  /// disk, every context's blocks on it in context order, each context's
+  /// on consecutive tracks of its band.  The band is in the live bank
+  /// XOR `bank_flip` (journaled mode; 1 targets the non-live bank).  Calls
+  /// `push(disk, track, staging_offset)` per block; returns the largest
+  /// per-disk block count (the batch's parallel I/Os).
+  template <class Push>
+  std::uint64_t for_each_block(const PendingIo& io, std::uint8_t bank_flip,
+                               Push&& push) const;
 
   em::DiskArray* disks_;
   std::uint32_t num_contexts_;

@@ -500,8 +500,10 @@ SimResult DistSimulator::run(
       messages.restore(s.chains);
     };
 
-    // Buffers reused across rounds and supersteps.
-    std::vector<std::vector<std::byte>> payloads;
+    // Buffers reused across rounds and supersteps.  ctx_views[i] views
+    // context i's payload in its read slot's staging (valid until that
+    // slot's next submit — after the round's compute).
+    ContextStore::Views ctx_views;
     std::vector<std::vector<bsp::Message>> inboxes;
     std::vector<bsp::Message> outgoing;
     std::vector<State> states;
@@ -620,12 +622,12 @@ SimResult DistSimulator::run(
           ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
                          disks, &tally.phase_io.fetch_ctx, me);
           if (pipelined) {
-            contexts.read_wait(ctx_read[round & 1], payloads);
+            contexts.read_wait(ctx_read[round & 1], ctx_views);
             // Read-ahead: the next round's contexts stream in while this
             // round computes.
             if (round + 1 < rounds) submit_ctx_read(round + 1);
           } else {
-            contexts.read_into(first, count, payloads);
+            contexts.read_into(first, count, ctx_views);
           }
         }
         // A fast peer may already be scattering this round's blocks at us;
@@ -647,7 +649,7 @@ SimResult DistSimulator::run(
           // Each task touches only index-i data; costs are reduced below
           // in vproc order, so the totals match the sequential loop.
           auto task = [&](std::size_t i) {
-            util::Reader r(payloads[i]);
+            util::Reader r(ctx_views[i]);
             states[i].deserialize(r);
             bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
                                       : bsp::Inbox(std::move(inboxes[i]));
@@ -947,9 +949,11 @@ SimResult DistSimulator::run(
         for (std::uint32_t r = 0; r < rounds; ++r) {
           const std::uint32_t first = r * k;
           const std::uint32_t count = std::min(k, local_v - first);
-          contexts.read_into(first, count, payloads);
-          for (std::uint32_t i = 0; i < count; ++i) {
-            local_out.write_vector(payloads[i]);
+          contexts.read_into(first, count, ctx_views);
+          // write_vector's framing: u64 length, then the bytes.
+          for (const auto view : ctx_views) {
+            local_out.write<std::uint64_t>(view.size());
+            local_out.write_bytes(view);
           }
         }
       }

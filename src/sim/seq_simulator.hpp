@@ -214,7 +214,9 @@ SimResult SeqSimulator::run(
   }
 
   // Buffers reused across groups and supersteps (no per-group churn).
-  std::vector<std::vector<std::byte>> payloads;
+  // ctx_views[i] views group member i's payload in its read slot's staging
+  // (valid until that slot's next submit — after the group's compute).
+  ContextStore::Views ctx_views;
   std::vector<std::vector<bsp::Message>> inboxes;
   std::vector<bsp::Message> outgoing;
   std::vector<State> states;
@@ -457,7 +459,7 @@ SimResult SeqSimulator::run(
         {
           ObsPhase phase(rec, "prefetch_ctx", *disks_,
                          &result.phase_io.fetch_ctx);
-          contexts.read_wait(ctx_read[cur], payloads);
+          contexts.read_wait(ctx_read[cur], ctx_views);
         }
         {
           ObsPhase phase(rec, "prefetch_msg", *disks_,
@@ -475,7 +477,7 @@ SimResult SeqSimulator::run(
         {
           ObsPhase phase(rec, "fetch_ctx", *disks_,
                          &result.phase_io.fetch_ctx);
-          contexts.read_into(first, count, payloads);
+          contexts.read_into(first, count, ctx_views);
         }
         ObsPhase phase(rec, "fetch_msg", *disks_, &result.phase_io.fetch_msg);
         if (zero_copy) {
@@ -524,7 +526,7 @@ SimResult SeqSimulator::run(
         // Each task touches only index-i data; costs are reduced below in
         // vproc order, so the totals are identical inline or pooled.
         auto task = [&](std::size_t i) {
-          util::Reader r(payloads[i]);
+          util::Reader r(ctx_views[i]);
           states[i].deserialize(r);
           bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
                                     : bsp::Inbox(std::move(inboxes[i]));
@@ -701,10 +703,10 @@ SimResult SeqSimulator::run(
       for (std::uint32_t gidx = 0; gidx < num_groups; ++gidx) {
         const std::uint32_t first = gidx * k;
         const std::uint32_t count = std::min(k, v - first);
-        contexts.read_into(first, count, payloads);
+        contexts.read_into(first, count, ctx_views);
         for (std::uint32_t i = 0; i < count; ++i) {
           State s;
-          util::Reader r(payloads[i]);
+          util::Reader r(ctx_views[i]);
           s.deserialize(r);
           collect(first + i, s);
         }

@@ -23,14 +23,19 @@ namespace embsp::util {
 /// Appends primitive values / trivially-copyable records to a growable byte
 /// buffer.  The buffer can be inspected or moved out after writing.
 ///
-/// Two modes: a default-constructed Writer owns its buffer (move it out
+/// Three modes: a default-constructed Writer owns its buffer (move it out
 /// with take()); a Writer constructed over an external buffer appends in
 /// place — the zero-copy path the simulators use to serialize contexts
-/// directly into block-aligned staging memory.  In external mode, size()
-/// reports the bytes written *by this Writer* (the external buffer may
-/// already hold earlier contexts).
+/// directly into block-aligned staging memory; a size-only Writer
+/// (`Writer(Writer::size_only)`) counts the bytes every call would append
+/// and stores none of them.  In external mode, size() reports the bytes
+/// written *by this Writer* (the external buffer may already hold earlier
+/// contexts); in size-only mode bytes() stays empty.
 class Writer {
  public:
+  struct SizeOnly {};
+  static constexpr SizeOnly size_only{};
+
   Writer() : buf_(&owned_) {}
 
   /// Append to `external` instead of an owned buffer; `external` must
@@ -38,14 +43,19 @@ class Writer {
   explicit Writer(std::vector<std::byte>& external)
       : buf_(&external), base_(external.size()) {}
 
+  /// Count only: size() is what serializing would have produced.
+  explicit Writer(SizeOnly) : buf_(&owned_), size_only_(true) {}
+
   Writer(Writer&& other) noexcept
       : owned_(std::move(other.owned_)),
         buf_(other.buf_ == &other.owned_ ? &owned_ : other.buf_),
-        base_(other.base_) {}
+        base_(other.base_),
+        size_only_(other.size_only_) {}
   Writer& operator=(Writer&& other) noexcept {
     owned_ = std::move(other.owned_);
     buf_ = other.buf_ == &other.owned_ ? &owned_ : other.buf_;
     base_ = other.base_;
+    size_only_ = other.size_only_;
     return *this;
   }
   Writer(const Writer&) = delete;
@@ -53,44 +63,52 @@ class Writer {
 
   /// Reserve capacity up front when the final size is known (avoids
   /// reallocation during context save).
-  void reserve(std::size_t bytes) { buf_->reserve(base_ + bytes); }
+  void reserve(std::size_t bytes) {
+    if (!size_only_) buf_->reserve(base_ + bytes);
+  }
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void write(const T& value) {
-    const auto* p = reinterpret_cast<const std::byte*>(&value);
-    buf_->insert(buf_->end(), p, p + sizeof(T));
+    append(reinterpret_cast<const std::byte*>(&value), sizeof(T));
   }
 
   void write_bytes(std::span<const std::byte> bytes) {
-    buf_->insert(buf_->end(), bytes.begin(), bytes.end());
+    append(bytes.data(), bytes.size());
   }
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void write_vector(const std::vector<T>& v) {
     write<std::uint64_t>(v.size());
-    if (!v.empty()) {
-      const auto* p = reinterpret_cast<const std::byte*>(v.data());
-      buf_->insert(buf_->end(), p, p + v.size() * sizeof(T));
-    }
+    append(reinterpret_cast<const std::byte*>(v.data()), v.size() * sizeof(T));
   }
 
   void write_string(const std::string& s) {
     write<std::uint64_t>(s.size());
-    const auto* p = reinterpret_cast<const std::byte*>(s.data());
-    buf_->insert(buf_->end(), p, p + s.size());
+    append(reinterpret_cast<const std::byte*>(s.data()), s.size());
   }
 
-  [[nodiscard]] std::size_t size() const { return buf_->size() - base_; }
+  [[nodiscard]] std::size_t size() const {
+    return size_only_ ? base_ : buf_->size() - base_;
+  }
   [[nodiscard]] const std::vector<std::byte>& bytes() const { return *buf_; }
   /// Owned mode only: move the buffer out.
   [[nodiscard]] std::vector<std::byte> take() { return std::move(*buf_); }
 
  private:
+  void append(const std::byte* p, std::size_t n) {
+    if (size_only_) {
+      base_ += n;  // size-only mode: base_ is the running count
+    } else if (n != 0) {
+      buf_->insert(buf_->end(), p, p + n);
+    }
+  }
+
   std::vector<std::byte> owned_;
   std::vector<std::byte>* buf_;
   std::size_t base_ = 0;
+  bool size_only_ = false;
 };
 
 /// Consumes a byte span produced by Writer.  Throws std::out_of_range on
@@ -162,11 +180,12 @@ concept Serializable = requires(const T& ct, T& t, Writer& w, Reader& r) {
   { t.deserialize(r) } -> std::same_as<void>;
 };
 
-/// Serialized size of a context, by actually serializing it.  Used by the
-/// simulators to validate the declared context bound µ.
+/// Serialized size of a context, measured by a size-only Writer (nothing
+/// is copied).  Used by the simulators to validate the declared context
+/// bound µ.
 template <Serializable T>
 std::size_t serialized_size(const T& value) {
-  Writer w;
+  Writer w(Writer::size_only);
   value.serialize(w);
   return w.size();
 }

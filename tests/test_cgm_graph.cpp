@@ -102,6 +102,30 @@ TEST(ListRanking, LambdaScalesWithLogV) {
   EXPECT_LT(out32.exec.lambda, 400u);
 }
 
+// The µ and γ the dry run (bsp::measure_requirements) configures for the
+// ledger's list-ranking input (n = 2^18, v = 64, seed 42).  µ sizes every
+// context slot, so a size-only measurement that miscounted would move the
+// on-disk layout.
+struct ConfigureOnlyExec {
+  sim::SimConfig cfg;
+  template <bsp::Program P>
+  ExecResult run(
+      const P& prog, std::uint32_t v,
+      const std::function<typename P::State(std::uint32_t)>& make_state,
+      const std::function<void(std::uint32_t, typename P::State&)>&) {
+    cfg = autoconfigure(sim::SimConfig{}, prog, v, make_state);
+    return {};
+  }
+};
+
+TEST(ListRanking, MeasuredRequirementsOfLedgerInput) {
+  const auto succ = util::random_list(1u << 18, 42).first;
+  ConfigureOnlyExec exec;
+  (void)cgm_list_ranking(exec, succ, 64);
+  EXPECT_EQ(exec.cfg.mu, 207502u);     // measured 184390 + 1/8 + 64
+  EXPECT_EQ(exec.cfg.gamma, 203552u);  // measured 203488 + 64
+}
+
 // --- Euler tour ----------------------------------------------------------------
 
 void check_tree_stats(std::span<const std::uint64_t> parent,

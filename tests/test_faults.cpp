@@ -71,6 +71,26 @@ TEST(Checksum, DiskDetectsMediumCorruption) {
   EXPECT_GE(disk.checksum_failures(), 1u);
 }
 
+TEST(Checksum, EmptyVectoredRunKeepsChecksumTable) {
+  // An empty run at track 0 once computed its last track as 0 - 1, which
+  // wrapped and resized the checksum table to nothing: later corruption of
+  // track 0 then read back silently.
+  auto backend = std::make_unique<MemoryBackend>();
+  auto* raw = backend.get();
+  Disk disk(128, std::move(backend), 0, /*verify_checksums=*/true);
+  disk.write_track(0, pattern_block(128, 5));
+  disk.write_tracks(0, {});
+  std::vector<std::byte> out(128);
+  disk.read_tracks(0, {});
+  EXPECT_EQ(disk.writes(), 1u);
+  EXPECT_EQ(disk.reads(), 0u);
+
+  std::byte evil{0x08};
+  raw->write(40, {&evil, 1});
+  EXPECT_THROW(disk.read_track(0, out), CorruptBlockError);
+  EXPECT_EQ(disk.checksum_failures(), 1u);
+}
+
 // --- Error taxonomy / retry policy ------------------------------------------
 
 TEST(IoErrorTaxonomy, KindsAndRetryability) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -361,6 +362,131 @@ TEST(ContextStore, FullyParallelGroupAccess) {
   (void)store.read(0, 8);
   EXPECT_EQ(disks.stats().parallel_ios, 2u);  // 8 blocks / 4 disks
   EXPECT_DOUBLE_EQ(disks.stats().utilization(4), 1.0);
+}
+
+std::vector<std::byte> context_payload(std::uint32_t ctx, std::size_t len,
+                                       std::uint32_t epoch) {
+  std::vector<std::byte> p(len);
+  for (std::size_t i = 0; i < len; ++i) {
+    p[i] = static_cast<std::byte>(
+        static_cast<std::uint8_t>(ctx * 29 + epoch * 101 + i * 7 + 1));
+  }
+  return p;
+}
+
+TEST(ContextStore, BatchedWritePlacesEveryBlockAtItsLocation) {
+  // The batch is built disk by disk, independently of location(); here
+  // every used block must land where location() says, in the slot format
+  // [u32 len][payload][zero pad], and the batch must cost the deepest
+  // per-disk block count.  Round trips alone cannot catch a misplacement,
+  // because reads and writes share the batch builder.
+  constexpr std::size_t kB = 64;
+  constexpr std::uint32_t kContexts = 20;
+  constexpr std::size_t kMu = 300;  // up to 5 blocks per context
+  for (std::size_t D : {1u, 3u, 4u, 7u}) {
+    for (bool journaled : {false, true}) {
+      SCOPED_TRACE("D=" + std::to_string(D) +
+                   (journaled ? " journaled" : " plain"));
+      em::DiskArray disks(D, kB);
+      em::TrackAllocators alloc(D);
+      ContextStore store(disks, alloc, kContexts, kMu, journaled);
+      // Epochs 1 and 2 write different lengths to a partial group and
+      // commit; journaled stores alternate banks, so both banks are hit.
+      for (std::uint32_t epoch = 1; epoch <= 2; ++epoch) {
+        const std::uint32_t first = 2 + epoch;
+        const std::uint32_t count = 13;
+        std::vector<std::vector<std::byte>> payloads;
+        std::vector<std::uint64_t> per_disk(D, 0);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          const std::size_t len = (i * 67 + epoch * 45) % (kMu + 1);
+          payloads.push_back(context_payload(first + i, i == 5 ? 0 : len,
+                                             epoch));
+          const std::uint64_t used =
+              (payloads.back().size() + sizeof(std::uint32_t) + kB - 1) / kB;
+          for (std::uint64_t b = 0; b < used; ++b) {
+            ++per_disk[(first + i + b) % D];
+          }
+        }
+        disks.reset_stats();
+        store.write(first, payloads);
+        store.commit_epoch();
+        EXPECT_EQ(disks.stats().parallel_ios,
+                  *std::max_element(per_disk.begin(), per_disk.end()));
+
+        std::vector<std::byte> block(kB);
+        for (std::uint32_t i = 0; i < count; ++i) {
+          const std::uint32_t ctx = first + i;
+          const auto& payload = payloads[i];
+          std::vector<std::byte> slot(sizeof(std::uint32_t) + payload.size());
+          const auto len = static_cast<std::uint32_t>(payload.size());
+          std::memcpy(slot.data(), &len, sizeof(len));
+          std::copy(payload.begin(), payload.end(),
+                    slot.begin() + sizeof(len));
+          slot.resize((slot.size() + kB - 1) / kB * kB);
+          for (std::uint64_t b = 0; b * kB < slot.size(); ++b) {
+            const auto [disk, track] = store.location(ctx, b);
+            EXPECT_EQ(disk, (ctx + b) % D);
+            em::Disk& d = disks.disk(disk);
+            d.peek_track(track, block, d.backend());
+            EXPECT_TRUE(std::equal(block.begin(), block.end(),
+                                   slot.begin() + b * kB))
+                << "epoch " << epoch << " ctx " << ctx << " block " << b;
+          }
+        }
+        disks.reset_stats();
+        EXPECT_EQ(store.read(first, count), payloads);
+        EXPECT_EQ(disks.stats().parallel_ios,
+                  *std::max_element(per_disk.begin(), per_disk.end()));
+      }
+    }
+  }
+}
+
+TEST(ContextStore, ReadViewsOutliveTheOtherSlot) {
+  // The pipelined simulators compute group g from slot g&1's views while
+  // slot (g+1)&1 reads ahead: a view must survive submits and waits on the
+  // other slot, and blocking reads and writes.  The committed contexts are
+  // placed by restore_context (which addresses blocks through location(),
+  // not the batch builder), alternately in bank 0 and bank 1, and an
+  // uncommitted epoch is discarded, so the views must come from the live
+  // bank at the right tracks.
+  constexpr std::uint32_t kContexts = 8;
+  em::DiskArray disks(3, 64);
+  em::TrackAllocators alloc(3);
+  ContextStore store(disks, alloc, kContexts, 200, /*journaled=*/true);
+  std::vector<std::vector<std::byte>> committed;
+  std::vector<std::vector<std::byte>> discarded;
+  for (std::uint32_t c = 0; c < kContexts; ++c) {
+    committed.push_back(context_payload(c, 40 + c * 19, 1));
+    discarded.push_back(context_payload(c, 150 - c * 9, 2));
+    util::Writer record;
+    record.write<std::uint8_t>(c & 1);
+    record.write<std::uint32_t>(
+        static_cast<std::uint32_t>(committed.back().size()));
+    record.write_bytes(committed.back());
+    util::Reader r(record.bytes());
+    store.restore_context(c, r);
+  }
+  store.write(0, discarded);
+  store.discard_epoch();
+
+  ContextStore::PendingIo slot[2];
+  ContextStore::Views views[2];
+  store.read_submit(0, 4, slot[0]);
+  store.read_wait(slot[0], views[0]);
+  store.read_submit(4, 4, slot[1]);
+  store.read_wait(slot[1], views[1]);
+  store.write(2, std::span(discarded).subspan(2, 3));
+  (void)store.read(5, 3);
+  for (int s = 0; s < 2; ++s) {
+    ASSERT_EQ(views[s].size(), 4u);
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      const auto& want = committed[s * 4 + i];
+      EXPECT_TRUE(std::equal(views[s][i].begin(), views[s][i].end(),
+                             want.begin(), want.end()))
+          << "slot " << s << " context " << s * 4 + i;
+    }
+  }
 }
 
 class MessageStoreTest : public ::testing::TestWithParam<RoutingMode> {};

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 
 #include "util/rng.hpp"
@@ -50,6 +51,43 @@ TEST(Serialization, ReadBytesAdvances) {
   auto first = r.read_bytes(4);
   EXPECT_EQ(first.size(), 4u);
   EXPECT_EQ(r.read<std::uint32_t>(), 0x12345678u);
+}
+
+TEST(Serialization, SizeOnlyWriterCountsEveryCall) {
+  // Every Writer call, applied in step to an owning, an external and a
+  // size-only Writer: the three sizes agree after each call, and only the
+  // size-only Writer stores nothing.
+  std::vector<std::byte> external(3, std::byte{9});
+  Writer owned;
+  Writer ext(external);
+  Writer counted(Writer::size_only);
+  const std::vector<std::byte> raw{std::byte{1}, std::byte{2}, std::byte{3}};
+  const std::vector<std::function<void(Writer&)>> calls = {
+      [](Writer& w) { w.reserve(64); },
+      [](Writer& w) { w.write<std::uint8_t>(7); },
+      [](Writer& w) { w.write<std::uint64_t>(1ULL << 40); },
+      [](Writer& w) { w.write<double>(2.5); },
+      [&](Writer& w) { w.write_bytes(raw); },
+      [](Writer& w) { w.write_bytes({}); },
+      [](Writer& w) { w.write_vector(std::vector<std::uint32_t>{4, 5, 6}); },
+      [](Writer& w) { w.write_vector(std::vector<std::uint16_t>{}); },
+      [](Writer& w) { w.write_string("size only"); },
+      [](Writer& w) { w.write_string(""); },
+  };
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    calls[i](owned);
+    calls[i](ext);
+    calls[i](counted);
+    EXPECT_EQ(counted.size(), owned.size()) << "call " << i;
+    EXPECT_EQ(ext.size(), owned.size()) << "call " << i;
+  }
+  EXPECT_EQ(external.size(), 3 + owned.size());
+  EXPECT_TRUE(counted.bytes().empty());
+  Writer moved(std::move(counted));
+  EXPECT_EQ(moved.size(), owned.size());
+  moved.write<std::uint32_t>(1);
+  EXPECT_EQ(moved.size(), owned.size() + sizeof(std::uint32_t));
+  EXPECT_TRUE(moved.bytes().empty());
 }
 
 TEST(Rng, Deterministic) {
