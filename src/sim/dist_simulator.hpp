@@ -1,14 +1,15 @@
 // Algorithm 3 — ParCompoundSuperstep (§5.2): one rank of the p-processor
 // EM-BSP* simulation of a v-processor BSP* program.
 //
-// This is the repo's only Algorithm 3 loop.  Each rank owns a private
-// D-disk array and shares nothing with its peers but the messages it
-// exchanges through a net::Transport — separate processes over sockets
+// This is the repo's only simulation loop.  Each rank owns a private D-disk
+// array and shares nothing with its peers but the messages it exchanges
+// through a net::Transport — separate processes over sockets
 // (`--transport socket`), or threads of one process over the loopback group
-// (ParSimulator, `--transport loopback`).  Rank i simulates virtual
-// processors [i*v/p, (i+1)*v/p); a compound superstep runs in v/(p*k)
-// rounds, and batch j is the set of messages destined to the virtual
-// processors simulated in round j (across all ranks):
+// (ParSimulator, `--transport loopback`; SeqSimulator is its p = 1 case).
+// Rank i simulates virtual processors [i*v/p, (i+1)*v/p); a compound
+// superstep runs in v/(p*k) rounds, and batch j is the set of messages
+// destined to the virtual processors simulated in round j (across all
+// ranks):
 //
 //   round j:  1(a) fetch the local blocks of batch j   → exchange #1
 //                  forwards each to the rank owning its destination,
@@ -23,9 +24,20 @@
 //             blocks so every batch lies in standard consecutive format.
 //   boundary: exchange #3 — an all-to-all control record (per-rank cost
 //             contribution, continue flag, rank 0's cancel sample, the
-//             reorganize status); every rank applies the same commutative
-//             reduction, so all ranks append the same SuperstepCost and
-//             take the same branch.
+//             reorganize status, undelivered blocks); every rank applies the
+//             same commutative reduction, so all ranks append the same
+//             SuperstepCost and take the same branch.
+//
+// With p = 1 the forward and scatter steps vanish and what remains is
+// Algorithm 1 (§5.1): a lone rank reads each group's contexts and inbox
+// from its own disks, writes the generated messages straight into its
+// buckets (MessageStore::write_message_refs, ascending group order, a
+// random disk permutation per write cycle) and writes the contexts back —
+// per disk, in that order.  It draws from util::Rng(seed) itself and sizes
+// its buckets without scatter slack.  Only a lone rank runs two-level
+// layout plans (routing per super-group, re-cut into leaf groups on
+// fetch); ranks of p > 1 consume plan.leaf, because forwarding reads a
+// block's owner from its first chunk.
 //
 // Determinism: final states, SuperstepCosts, IoStats and fault-schedule
 // call indices are identical over every transport (tests/test_net.cpp),
@@ -38,25 +50,31 @@
 //   * cost reduction uses max/+ merges, which are commutative.
 //
 // Pipelined execution (cfg.pipeline): each rank runs the double-buffered
-// group schedule against its private disks — context prefetch for round
-// r+1 and write-behind for round r-1 ride under round r's compute, message
-// writes ride a bounded write-behind window — and the transport is driven
-// incrementally: blocks are post()ed as they materialize and
-// Transport::progress() is pumped from the fetch, compute and scatter
-// phases, so wire traffic drains while the rank is still computing or
-// waiting on its disks.  Overlap changes only timing, never content.
+// group schedule against its private disks — context (and, on a lone rank,
+// inbox) prefetch for round r+1 and write-behind for round r-1 ride under
+// round r's compute, message writes ride a bounded write-behind window —
+// and the transport is driven incrementally: blocks are post()ed as they
+// materialize and Transport::progress() is pumped from the fetch, compute
+// and scatter phases, so wire traffic drains while the rank is still
+// computing or waiting on its disks.  Overlap changes only timing, never
+// content.  With cfg.auto_tune each rank re-plans its compute-pool width
+// at superstep boundaries from its own engine stats (GroupTuner).
 //
-// Coordinated rollback (cfg.superstep_recovery): the superstep body and the
-// reorganize are recovery units.  A rank whose unit fails (a transfer gave
-// up, or a peer's failure starved it of mail) quiesces and keeps making
-// the unit's remaining exchanges, posting nothing, so every rank reaches
-// the verdict in step: a one-byte verdict record after the body, and a
+// Coordinated rollback (cfg.superstep_recovery): init, the superstep body,
+// the reorganize and collect are recovery units (§5.1: the on-disk state
+// at a superstep boundary is a consistent checkpoint).  A rank whose unit
+// fails (a transfer gave up, or a peer's failure starved it of mail)
+// quiesces and keeps making the unit's remaining exchanges, posting
+// nothing, so every rank reaches the verdict in step: a one-byte verdict
+// record after init (the startup alignment), the body and collect, and a
 // status field of the boundary control record for the reorganize.  The
 // verdict is unanimous — commit, roll every rank back to the unit-entry
 // snapshots and the last committed context epoch, or (past
 // cfg.max_superstep_retries, or without an I/O failure to blame) fail the
-// run with the root cause.  A net::NetError is never a unit failure: the
-// transport itself is gone, and the run aborts.
+// run with the root cause.  Re-execution replays the same RNG draws and
+// track placements, so a recovered run's disk image is byte-identical to an
+// undisturbed one.  A net::NetError is never a unit failure: the transport
+// itself is gone, and the run aborts.
 //
 // Durable checkpoints (cfg.checkpoint): only rank 0 touches the checkpoint
 // directory.  At a due boundary every rank posts its record (tallies plus
@@ -74,6 +92,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "bsp/direct_runtime.hpp"
 #include "bsp/program.hpp"
@@ -81,9 +100,9 @@
 #include "net/transport.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/context_store.hpp"
+#include "sim/layout_planner.hpp"
 #include "sim/message_store.hpp"
 #include "sim/obs_hooks.hpp"
-#include "sim/seq_simulator.hpp"
 #include "sim/sim_config.hpp"
 #include "util/thread_pool.hpp"
 
@@ -112,7 +131,8 @@ class DistSimulator {
   friend class ParSimulator;
 
   /// The field set of the cross-rank cost reduction.  max_wire_* stay zero
-  /// in the reduced record; folding them in would move every p > 1 digest.
+  /// in the reduced record of p > 1; folding them in would move every
+  /// p > 1 digest.  A lone rank keeps its own record whole.
   static void merge_cost(bsp::SuperstepCost& into,
                          const bsp::SuperstepCost& c) {
     into.max_work = std::max(into.max_work, c.max_work);
@@ -140,8 +160,9 @@ class DistSimulator {
   std::unique_ptr<em::DiskArray> disks_;
   std::shared_ptr<em::FaultCounters> fault_counters_;
   /// Set by ParSimulator, whose ranks share one process and one caller:
-  /// final states gather to rank 0 alone, and the loopback transport's
-  /// counters stay out of the shared registry.
+  /// rank 0 collects its own states in place and the others send theirs
+  /// to rank 0 alone, and the loopback transport's counters stay out of
+  /// the shared registry.
   bool in_process_ = false;
 };
 
@@ -161,17 +182,28 @@ SimResult DistSimulator::run(
   const std::uint32_t local_v = v / p;
   const std::uint32_t me = tp_->rank();
   const bool coordinated = cfg_.superstep_recovery;
+  const bool lone = p == 1;  // Algorithm 1: nothing to forward or scatter
 
-  // Leaf-granular plan consumption: forwarding inspects every block's owner
-  // per round, which already makes rounds leaf-sized — the legality win of
-  // a hierarchical plan — while routing stays per leaf batch (super-packed
-  // blocks would mix batches across owners).  The leaf equals the flat
-  // SimLayout whenever a flat schedule is feasible.
-  SimLayout layout = LayoutPlanner::plan(cfg_, local_v).leaf;
-  // Extra receive capacity per batch: random scattering is balanced only in
-  // expectation, and per-(source, destination-owner) tail blocks add
-  // fragmentation.  Overflow is detected at runtime with a clear error.
-  layout.group_capacity = layout.group_capacity * 2 + 4 * p + 4;
+  // The planner emits a flat layout whenever the (requested or auto-picked)
+  // k fits M, and a two-level group tree when it does not.  Ranks of p > 1
+  // run its leaf level: a re-cut block would mix destination owners, and
+  // forwarding reads a block's owner from its first chunk.
+  LayoutPlan plan = LayoutPlanner::plan(cfg_, local_v);
+  if (!lone) {
+    plan.levels.resize(1);
+    // Extra receive capacity per batch: random scattering is balanced only
+    // in expectation, and per-(source, destination-owner) tail blocks add
+    // fragmentation.  Overflow is detected at runtime with a clear error.
+    plan.leaf.group_capacity = plan.leaf.group_capacity * 2 + 4 * p + 4;
+  }
+  const bool hier = plan.hierarchical();
+  if (hier && (coordinated || cfg_.checkpoint.enabled())) {
+    throw LayoutError(
+        "DistSimulator: superstep recovery / checkpointing do not compose "
+        "with the multi-level group schedule yet (the distribution scratch "
+        "is not part of the recovery records); lower k or raise M");
+  }
+  const SimLayout& layout = plan.leaf;
   const auto k = static_cast<std::uint32_t>(layout.k);
   const std::uint32_t rounds = layout.num_groups;
 
@@ -179,16 +211,23 @@ SimResult DistSimulator::run(
   ContextStore contexts(*disks_, alloc, local_v, cfg_.mu,
                         /*journaled=*/coordinated);
   MessageStoreConfig mcfg;
-  mcfg.num_groups = rounds;
-  mcfg.group_capacity_blocks = layout.group_capacity;
+  mcfg.num_groups = plan.levels.back().num_groups;
+  mcfg.group_capacity_blocks =
+      hier ? plan.super_capacity_blocks : layout.group_capacity;
   mcfg.mode = cfg_.routing;
   mcfg.max_message_bytes = cfg_.gamma;
   mcfg.memory_budget_bytes = layout.routing_mem_budget;
+  if (hier) {
+    mcfg.leaf_fanout = plan.fanout();
+    mcfg.num_leaf_groups = rounds;
+    mcfg.leaf_capacity_blocks = plan.leaf_capacity_blocks;
+    mcfg.leaf_of = [k](std::uint32_t dst) { return dst / k; };
+  }
   MessageStore messages(*disks_, alloc, mcfg);
   // Per-rank RNG: fork() advances the master, so every rank draws all p
-  // forks in order and keeps its own.
-  util::Rng rng(0);
-  {
+  // forks in order and keeps its own.  A lone rank draws from the seed.
+  util::Rng rng(cfg_.seed);
+  if (!lone) {
     util::Rng master(cfg_.seed);
     for (std::uint32_t i = 0; i < p; ++i) {
       util::Rng f = master.fork(i + 1);
@@ -220,26 +259,38 @@ SimResult DistSimulator::run(
 
   SimResult result;
   result.group_size = layout.k;
-  // Every rank's serialized final states (ParSimulator's ranks > 0 get
-  // none).
+  // Every rank's serialized final states.  ParSimulator's rank 0 collects
+  // its own in place, and its other ranks get none.
   std::vector<std::vector<net::Blob>> gathered;
+  const bool collect_in_place = in_process_ && me == 0;
 
   const auto owner_of = [local_v](std::uint32_t vp) { return vp / local_v; };
   // Destination batch of a virtual processor: its round index on its owner.
   const auto batch_of = [local_v, k](std::uint32_t vp) {
     return (vp % local_v) / k;
   };
+  // A lone rank's routing destination group: the super-group in a
+  // two-level plan.
+  const auto group_of = [route_k = static_cast<std::uint32_t>(
+                             plan.levels.back().k)](std::uint32_t dst) {
+    return dst / route_k;
+  };
 
   obs::Recorder* const rec = cfg_.recorder;
   auto& disks = *disks_;
-  // Pipelined double-buffered context staging.  Declared OUTSIDE the try:
-  // stack unwinding must not destroy buffers that in-flight transfers
-  // still reference — the catch blocks below drain the disk array first.
+  // A lone rank's engine counters keep the single-processor names.
+  const std::string engine_prefix =
+      lone ? "engine." : "proc." + std::to_string(me) + ".engine.";
+  // Pipelined double-buffered staging, indexed by round parity: contexts,
+  // and a lone rank's inbox.  Declared OUTSIDE the try: stack unwinding
+  // must not destroy buffers that in-flight transfers still reference —
+  // the catch blocks below drain the disk array first.
   ContextStore::PendingIo ctx_read[2];
   ContextStore::PendingIo ctx_write[2];
+  MessageStore::PendingFetch msg_fetch[2];
   // Unregisters kernel fixed buffers on any exit; declared after the slots
   // so it runs before their destruction (the catch blocks have drained by
-  // then).
+  // then) — a stale registration could alias a later run's allocations.
   struct RegGuard {
     em::DiskArray* d = nullptr;
     ~RegGuard() {
@@ -258,6 +309,8 @@ SimResult DistSimulator::run(
       ctx_read[s].tokens.clear();
       ctx_write[s].active = false;
       ctx_write[s].tokens.clear();
+      msg_fetch[s].active = false;
+      msg_fetch[s].tokens.clear();
     }
   };
   // The failure path: quiesce before unwinding past the staging buffers,
@@ -271,8 +324,7 @@ SimResult DistSimulator::run(
     tp_->abort(reason);
     if (rec == nullptr) return;
     disks.harvest_backend_stats();
-    em::export_metrics(disks.engine_stats(), rec->registry,
-                       "proc." + std::to_string(me) + ".engine.");
+    em::export_metrics(disks.engine_stats(), rec->registry, engine_prefix);
     const Tally t = live_tally();
     RecoveryStats share;
     share.io_retries = t.io_retries;
@@ -281,6 +333,9 @@ SimResult DistSimulator::run(
     export_io_recovery_stats(rec->registry, share);
   };
   std::unique_ptr<util::ComputePool> pool;
+  // Re-plans the compute-pool width at superstep boundaries: the one knob
+  // that never moves the layout or the call-indexed fault schedule.
+  std::optional<GroupTuner> tuner;
   const bool pipelined = cfg_.pipeline;
   try {
     if (pipelined) {
@@ -288,16 +343,33 @@ SimResult DistSimulator::run(
       if (cfg_.compute_threads > 1) {
         pool = std::make_unique<util::ComputePool>(cfg_.compute_threads - 1);
       }
-      // Kernel fixed buffers (uring engine): pre-size the double-buffered
-      // context staging and register it with this rank's private disk
-      // array (see SeqSimulator::run for the contract).
+      if (cfg_.auto_tune) {
+        tuner.emplace(/*min_width=*/1,
+                      /*max_width=*/std::max<std::size_t>(
+                          cfg_.compute_threads, 8));
+      }
+      // Kernel fixed buffers (uring engine): size the staging slots to
+      // their steady-state maximum up front and offer them to the backends,
+      // so transfers go out as READ_FIXED/WRITE_FIXED SQEs.  Non-uring
+      // backends decline; a buffer that outgrows its registration falls
+      // back to plain SQEs.  A two-level plan fetches leaf slabs out of
+      // scratch, so its inbox slot is sized by the leaf capacity.
       const std::size_t ctx_bytes = layout.k * layout.context_slot_bytes;
+      const std::size_t msg_bytes =
+          lone ? static_cast<std::size_t>(hier ? plan.leaf_capacity_blocks
+                                               : layout.group_capacity) *
+                     cfg_.machine.em.B
+               : 0;
       std::vector<std::span<std::byte>> regions;
       for (int s = 0; s < 2; ++s) {
         ctx_read[s].buf.resize(ctx_bytes);
         ctx_write[s].buf.resize(ctx_bytes);
         regions.push_back({ctx_read[s].buf.data(), ctx_read[s].buf.size()});
         regions.push_back({ctx_write[s].buf.data(), ctx_write[s].buf.size()});
+        if (lone) {
+          msg_fetch[s].buf.resize(msg_bytes);
+          regions.push_back({msg_fetch[s].buf.data(), msg_fetch[s].buf.size()});
+        }
       }
       if (disks.register_io_buffers(regions) > 0) reg_guard.d = &disks;
     }
@@ -361,6 +433,7 @@ SimResult DistSimulator::run(
         util::Reader h(r.read_bytes(r.read<std::uint64_t>()));
         start_step = static_cast<std::size_t>(h.read<std::uint64_t>());
         result.costs.supersteps = h.read_vector<bsp::SuperstepCost>();
+        result.per_superstep_io = h.read_vector<em::IoStats>();
         result.recovery.superstep_rollbacks = h.read<std::uint64_t>();
         result.recovery.reorganize_rollbacks = h.read<std::uint64_t>();
         tally = r.read<Tally>();
@@ -388,6 +461,7 @@ SimResult DistSimulator::run(
       util::Writer header;
       header.write<std::uint64_t>(next_step);
       header.write_vector(result.costs.supersteps);
+      header.write_vector(result.per_superstep_io);
       header.write<std::uint64_t>(result.recovery.superstep_rollbacks);
       header.write<std::uint64_t>(result.recovery.reorganize_rollbacks);
       util::Writer g;
@@ -410,27 +484,6 @@ SimResult DistSimulator::run(
                   std::chrono::steady_clock::now() - t0)
                   .count()));
     };
-
-    // Initial contexts for this rank's virtual processors.  Skipped on
-    // resume: the restored context banks already hold the checkpointed
-    // boundary's state.
-    if (!resumed) {
-      {
-        ObsPhase phase(rec, "init", disks, &tally.phase_io.init, me);
-        for (std::uint32_t r = 0; r < rounds; ++r) {
-          const std::uint32_t first = r * k;
-          const std::uint32_t count = std::min(k, local_v - first);
-          contexts.write(first, count, [&](std::uint32_t ctx, util::Writer& w) {
-            make_state(me * local_v + ctx).serialize(w);
-          });
-        }
-      }
-      // The initial contexts are the first committed epoch.
-      if (contexts.journaled()) contexts.commit_epoch();
-    }
-    // Startup alignment: validates the mesh before the first superstep and
-    // keeps slow-starting peers from eating into round deadlines.
-    (void)tp_->exchange();
 
     // --- Coordinated recovery units ------------------------------------
     struct Attempt {
@@ -480,6 +533,25 @@ SimResult DistSimulator::run(
           "DistSimulator: rank " + std::to_string(first(root)) +
           " failed a recovery unit for good");
     };
+    // Posts this rank's status of an attempt to every rank and returns all
+    // of them, in rank order.
+    const auto vote = [&](const Attempt& a) {
+      const auto status = static_cast<std::byte>(a.status);
+      for (std::uint32_t q = 0; q < p; ++q) {
+        tp_->post(q, std::span<const std::byte>(&status, 1));
+      }
+      const auto verdicts = tp_->exchange();
+      std::vector<UnitStatus> votes(p);
+      for (std::uint32_t src = 0; src < p; ++src) {
+        if (verdicts[src].size() != 1 || verdicts[src][0].size() != 1) {
+          throw net::PeerFailedError(
+              "DistSimulator: malformed verdict record from rank " +
+              std::to_string(src));
+        }
+        votes[src] = static_cast<UnitStatus>(verdicts[src][0][0]);
+      }
+      return votes;
+    };
     // Unit-entry snapshot of the in-memory metadata a unit mutates; the
     // journaled context bank rolls back separately (discard_epoch).
     struct Snapshot {
@@ -493,30 +565,78 @@ SimResult DistSimulator::run(
       return Snapshot{rng, tally.rr_scatter, alloc.snapshot(),
                       messages.snapshot()};
     };
-    const auto restore = [&](const Snapshot& s) {
-      rng = s.rng;
-      tally.rr_scatter = s.rr_scatter;
-      alloc.restore(s.tracks);
-      messages.restore(s.chains);
+    // Runs `body` as one recovery unit: `settle` makes the unit's remaining
+    // exchanges and returns every rank's status, and the verdict commits
+    // the attempt or restores the unit-entry snapshot and re-executes.
+    const auto run_unit = [&](std::uint64_t& rollbacks, const char* unit,
+                              auto&& body, auto&& settle) {
+      for (std::size_t attempt = 0;; ++attempt) {
+        const auto snap = snapshot();
+        const Attempt a = attempt_unit(body);
+        const std::vector<UnitStatus> votes = settle(a);
+        if (!coordinated) return;
+        if (!roll_back(votes, a, attempt)) {
+          contexts.commit_epoch();
+          return;
+        }
+        rng = snap->rng;
+        tally.rr_scatter = snap->rr_scatter;
+        alloc.restore(snap->tracks);
+        messages.restore(snap->chains);
+        contexts.discard_epoch();
+        ++rollbacks;
+        if (me == 0) record_rollback(rec, unit, me);
+      }
     };
+    // The verdict of a unit that ends with no exchange of its own.
+    const auto vote_if_coordinated = [&](const Attempt& a) {
+      return coordinated ? vote(a) : std::vector<UnitStatus>{};
+    };
+
+    // Initial contexts for this rank's virtual processors, one group at a
+    // time (the EM discipline applies to setup too) — skipped on resume,
+    // where the restored banks already hold the checkpointed boundary's
+    // state.  Its verdict rides the startup alignment, which also validates
+    // the mesh and keeps slow-starting peers from eating into round
+    // deadlines.
+    run_unit(
+        result.recovery.superstep_rollbacks, "superstep",
+        [&] {
+          if (resumed) return;
+          ObsPhase phase(rec, "init", disks, &tally.phase_io.init, me);
+          for (std::uint32_t r = 0; r < rounds; ++r) {
+            const std::uint32_t first = r * k;
+            const std::uint32_t count = std::min(k, local_v - first);
+            contexts.write(first, count,
+                           [&](std::uint32_t ctx, util::Writer& w) {
+                             make_state(me * local_v + ctx).serialize(w);
+                           });
+          }
+        },
+        vote);
 
     // Buffers reused across rounds and supersteps.  ctx_views[i] views
     // context i's payload in its read slot's staging (valid until that
     // slot's next submit — after the round's compute).
     ContextStore::Views ctx_views;
+    std::vector<bsp::Message> incoming;
     std::vector<std::vector<bsp::Message>> inboxes;
     std::vector<bsp::Message> outgoing;
     std::vector<State> states;
-    // Zero-copy path: reassembled payloads live in this arena (reset per
-    // round — the previous round's compute has consumed its refs).
+    // Zero-copy path: fetched payloads live in this arena (reset per round
+    // — the previous round's compute has consumed its refs), and outgoing
+    // refs point into the per-vproc outbox arenas, which stay alive until
+    // the round's messages are written or scattered.
     const bool zero_copy = cfg_.zero_copy;
     util::Arena inbox_arena;
+    std::vector<bsp::MessageRef> incoming_refs;
     std::vector<std::vector<bsp::MessageRef>> inbox_refs;
     std::vector<bsp::MessageRef> outgoing_refs;
     std::vector<bsp::Outbox> outboxes;
 
-    // Per-vproc compute results, reduced sequentially in vproc order below
-    // so cost totals are identical whether compute fans out or not.
+    // Per-vproc compute results, filled by (possibly concurrent) superstep()
+    // calls and reduced sequentially in vproc order below, so cost totals
+    // are identical whether compute fans out or not.
     struct VpStats {
       bool cont = false;
       std::uint64_t work = 0;
@@ -528,10 +648,13 @@ SimResult DistSimulator::run(
       std::uint64_t recv_bytes = 0;
     };
     std::vector<VpStats> vp;
-    auto submit_ctx_read = [&](std::uint32_t r) {
+    // Read-ahead into round r's parity slot: contexts, and a lone rank's
+    // inbox (the arena is stable between reorganizations).
+    auto submit_prefetch = [&](std::uint32_t r) {
       const std::uint32_t rf = r * k;
       const std::uint32_t rc = std::min(k, local_v - rf);
       contexts.read_submit(rf, rc, ctx_read[r & 1]);
+      if (lone) messages.fetch_group_submit(r, msg_fetch[r & 1]);
     };
 
     // One superstep body's contribution, reset by every attempt.
@@ -540,7 +663,8 @@ SimResult DistSimulator::run(
     std::uint64_t comm_bytes_this_step = 0;
     // Exchanges one body makes (forward + scatter per round) and how many
     // the current attempt has made so far.
-    const std::size_t body_exchanges = 2 * static_cast<std::size_t>(rounds);
+    const std::size_t body_exchanges =
+        lone ? 0 : 2 * static_cast<std::size_t>(rounds);
     std::size_t exchanges_made = 0;
 
     // Step 1: all rounds' fetch / compute / write.  Reads touch only
@@ -552,88 +676,107 @@ SimResult DistSimulator::run(
       want_continue = false;
       comm_bytes_this_step = 0;
       exchanges_made = 0;
-      if (pipelined) submit_ctx_read(0);
+      if (pipelined) submit_prefetch(0);
 
       for (std::uint32_t round = 0; round < rounds; ++round) {
-        // --- Fetch: read local blocks of this batch, forward to owners.
-        // Each block is handed to the transport the moment the disks
-        // surface it and progress() pushes it toward the wire while the
-        // remaining blocks of the batch are still being read.  post()
-        // copies before returning, so transient spans — this callback's,
-        // pack_blocks scratch, serialized records — are posted directly.
-        {
-          ObsPhase phase(rec, "fetch_msg", disks, &tally.phase_io.fetch_msg,
-                         me);
-          messages.fetch_group_blocks(
-              round, [&](std::span<const std::byte> block) {
-                if (is_dummy_block(block)) return;
-                // All chunks in a block share one destination group (they
-                // were packed per owner): the first chunk's dst names it.
-                util::Reader r(block.subspan(kBlockHeaderBytes));
-                r.read<std::uint32_t>();  // src
-                const auto dst = r.read<std::uint32_t>();
-                const auto owner = owner_of(dst);
-                tp_->post(owner, block);
-                if (owner != me) comm_bytes_this_step += block.size();
-                tp_->progress();
-              });
-        }
-        ++exchanges_made;
-        auto forward = tp_->exchange();
-
-        // --- Compute: reassemble inboxes, run the k virtual supersteps.
         const std::uint32_t first = round * k;
         const std::uint32_t count = std::min(k, local_v - first);
+        const int cur = static_cast<int>(round & 1);
         if (zero_copy) inbox_arena.reset();
-        Reassembler reasm(cfg_.gamma, zero_copy ? &inbox_arena : nullptr);
-        for (std::uint32_t src = 0; src < p; ++src) {
-          for (auto& block : forward[src]) {
-            reasm.absorb(block, round);
-          }
-        }
-        if (zero_copy) {
-          if (inbox_refs.size() < count) inbox_refs.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
-          for (const auto& m : reasm.take_refs()) {
-            const std::uint32_t local = m.dst - me * local_v;
-            if (owner_of(m.dst) != me || local < first ||
-                local >= first + count) {
-              throw std::runtime_error(
-                  "DistSimulator: block forwarded to the wrong processor");
-            }
-            inbox_refs[local - first].push_back(m);
-          }
-        } else {
-          auto incoming = reasm.take();
-          if (inboxes.size() < count) inboxes.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
-          for (auto& m : incoming) {
-            const std::uint32_t local = m.dst - me * local_v;
-            if (owner_of(m.dst) != me || local < first ||
-                local >= first + count) {
-              throw std::runtime_error(
-                  "DistSimulator: block forwarded to the wrong processor");
-            }
-            inboxes[local - first].push_back(std::move(m));
-          }
-        }
-
-        {
-          ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx",
-                         disks, &tally.phase_io.fetch_ctx, me);
+        const auto fetch_ctx = [&] {
+          ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx", disks,
+                         &tally.phase_io.fetch_ctx, me);
           if (pipelined) {
-            contexts.read_wait(ctx_read[round & 1], ctx_views);
-            // Read-ahead: the next round's contexts stream in while this
-            // round computes.
-            if (round + 1 < rounds) submit_ctx_read(round + 1);
+            contexts.read_wait(ctx_read[cur], ctx_views);
           } else {
             contexts.read_into(first, count, ctx_views);
           }
-        }
-        // A fast peer may already be scattering this round's blocks at us;
-        // buffering them now shortens the exchange after the pack below.
-        tp_->progress();
+        };
 
+        if (lone) {
+          // --- Fetch: steps 1(a) and 1(b) of Algorithm 1.
+          fetch_ctx();
+          {
+            ObsPhase phase(rec, pipelined ? "prefetch_msg" : "fetch_msg",
+                           disks, &tally.phase_io.fetch_msg, me);
+            if (pipelined && zero_copy) {
+              incoming_refs =
+                  messages.fetch_group_wait_refs(msg_fetch[cur], inbox_arena);
+            } else if (pipelined) {
+              incoming = messages.fetch_group_wait(msg_fetch[cur]);
+            } else if (zero_copy) {
+              incoming_refs = messages.fetch_group_refs(round, inbox_arena);
+            } else {
+              incoming = messages.fetch_group(round);
+            }
+          }
+          // Read-ahead: round r+1's transfers overlap round r's compute.
+          if (pipelined && round + 1 < rounds) submit_prefetch(round + 1);
+        } else {
+          // --- Fetch: read local blocks of this batch, forward to owners.
+          // Each block is handed to the transport the moment the disks
+          // surface it and progress() pushes it toward the wire while the
+          // remaining blocks of the batch are still being read.  post()
+          // copies before returning, so transient spans — this callback's,
+          // pack_blocks scratch, serialized records — are posted directly.
+          {
+            ObsPhase phase(rec, "fetch_msg", disks, &tally.phase_io.fetch_msg,
+                           me);
+            messages.fetch_group_blocks(
+                round, [&](std::span<const std::byte> block) {
+                  if (is_dummy_block(block)) return;
+                  // All chunks in a block share one destination group (they
+                  // were packed per owner): the first chunk's dst names it.
+                  util::Reader r(block.subspan(kBlockHeaderBytes));
+                  r.read<std::uint32_t>();  // src
+                  const auto owner = owner_of(r.read<std::uint32_t>());
+                  tp_->post(owner, block);
+                  if (owner != me) comm_bytes_this_step += block.size();
+                  tp_->progress();
+                });
+          }
+          ++exchanges_made;
+          auto forward = tp_->exchange();
+          Reassembler reasm(cfg_.gamma, zero_copy ? &inbox_arena : nullptr);
+          for (std::uint32_t src = 0; src < p; ++src) {
+            for (auto& block : forward[src]) reasm.absorb(block, round);
+          }
+          if (zero_copy) {
+            incoming_refs = reasm.take_refs();
+          } else {
+            incoming = reasm.take();
+          }
+          fetch_ctx();
+          if (pipelined && round + 1 < rounds) submit_prefetch(round + 1);
+          // A fast peer may already be scattering this round's blocks at
+          // us; buffering them now shortens the exchange after the pack.
+          tp_->progress();
+        }
+
+        // Sort the fetched messages into per-vproc inboxes.
+        const auto inbox_of = [&](std::uint32_t dst) {
+          const std::uint32_t local = dst - me * local_v;
+          if (owner_of(dst) != me || local < first || local >= first + count) {
+            throw std::runtime_error(
+                "DistSimulator: message delivered to the wrong processor");
+          }
+          return local - first;
+        };
+        if (zero_copy) {
+          if (inbox_refs.size() < count) inbox_refs.resize(count);
+          for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
+          for (const auto& m : incoming_refs) {
+            inbox_refs[inbox_of(m.dst)].push_back(m);
+          }
+        } else {
+          if (inboxes.size() < count) inboxes.resize(count);
+          for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
+          for (auto& m : incoming) {
+            inboxes[inbox_of(m.dst)].push_back(std::move(m));
+          }
+        }
+
+        // --- Compute: run the k virtual supersteps.
         states.clear();
         states.resize(count);
         vp.assign(count, VpStats{});
@@ -643,7 +786,6 @@ SimResult DistSimulator::run(
         }
         outgoing.clear();
         outgoing_refs.clear();
-        bsp::SuperstepCost local_cost;
         {
           ObsPhase compute_phase(rec, "compute", disks, nullptr, me);
           // Each task touches only index-i data; costs are reduced below
@@ -678,30 +820,29 @@ SimResult DistSimulator::run(
             for (std::uint32_t i = 0; i < count; ++i) task(i);
           }
         }
+        bsp::SuperstepCost& c = local_step_cost;
         for (std::uint32_t i = 0; i < count; ++i) {
           const VpStats& s = vp[i];
           want_continue = want_continue || s.cont;
-          local_cost.max_work = std::max(local_cost.max_work, s.work);
-          local_cost.total_work += s.work;
+          c.max_work = std::max(c.max_work, s.work);
+          c.total_work += s.work;
           if (s.sent_wire > cfg_.gamma) {
             throw std::runtime_error(
-                "DistSimulator: processor exceeded the declared gamma");
+                "DistSimulator: processor " +
+                std::to_string(me * local_v + first + i) + " sent " +
+                std::to_string(s.sent_wire) +
+                " bytes in one superstep, exceeding the declared gamma = " +
+                std::to_string(cfg_.gamma));
           }
-          local_cost.max_bytes_sent =
-              std::max(local_cost.max_bytes_sent, s.bytes_sent);
-          local_cost.max_packets_sent =
-              std::max(local_cost.max_packets_sent, s.sent_packets);
-          local_cost.max_wire_sent =
-              std::max(local_cost.max_wire_sent, s.sent_wire);
-          local_cost.max_bytes_received =
-              std::max(local_cost.max_bytes_received, s.recv_bytes);
-          local_cost.max_packets_received =
-              std::max(local_cost.max_packets_received, s.recv_packets);
-          local_cost.total_bytes += s.bytes_sent;
-          local_cost.num_messages += s.num_messages;
+          c.max_bytes_sent = std::max(c.max_bytes_sent, s.bytes_sent);
+          c.max_packets_sent = std::max(c.max_packets_sent, s.sent_packets);
+          c.max_wire_sent = std::max(c.max_wire_sent, s.sent_wire);
+          c.max_bytes_received = std::max(c.max_bytes_received, s.recv_bytes);
+          c.max_packets_received =
+              std::max(c.max_packets_received, s.recv_packets);
+          c.total_bytes += s.bytes_sent;
+          c.num_messages += s.num_messages;
           if (zero_copy) {
-            // Refs stay valid through the scatter packing below: the
-            // outboxes (and their arenas) outlive this round's writing.
             for (const auto& msg : outboxes[i].messages()) {
               outgoing_refs.push_back(msg);
             }
@@ -716,24 +857,38 @@ SimResult DistSimulator::run(
         }
         tally.arena_peak =
             std::max<std::uint64_t>(tally.arena_peak, inbox_arena.high_water());
-        merge_cost(local_step_cost, local_cost);
 
-        // Write contexts back.
-        {
-          ObsPhase phase(rec, pipelined ? "writeback_ctx" : "write_ctx",
-                         disks, &tally.phase_io.write_ctx, me);
+        const auto write_ctx = [&] {
+          ObsPhase phase(rec, pipelined ? "writeback_ctx" : "write_ctx", disks,
+                         &tally.phase_io.write_ctx, me);
           auto emit = [&](std::uint32_t ctx, util::Writer& w) {
             states[ctx - first].serialize(w);
           };
           if (pipelined) {
             // Retire round r-2's write-backs, then submit round r's; the
             // writes overlap the following rounds' compute.
-            contexts.write_wait(ctx_write[round & 1]);
-            contexts.write_submit(first, count, emit, ctx_write[round & 1]);
+            contexts.write_wait(ctx_write[cur]);
+            contexts.write_submit(first, count, emit, ctx_write[cur]);
           } else {
             contexts.write(first, count, emit);
           }
+        };
+
+        if (lone) {
+          // --- Write: steps 1(d) and 1(e) of Algorithm 1.
+          {
+            ObsPhase phase(rec, pipelined ? "writeback_msg" : "write_msg",
+                           disks, &tally.phase_io.write_msg, me);
+            if (zero_copy) {
+              messages.write_message_refs(outgoing_refs, group_of, rng);
+            } else {
+              messages.write_messages(outgoing, group_of, rng);
+            }
+          }
+          write_ctx();
+          continue;
         }
+        write_ctx();
 
         // --- Writing: pack per (owner, batch) and scatter randomly.
         {
@@ -832,42 +987,23 @@ SimResult DistSimulator::run(
       if (step >= cfg_.max_supersteps) {
         throw std::runtime_error("DistSimulator: superstep limit exceeded");
       }
+      const em::IoStats step_entry = disks.stats();
 
       // --- Step 1: the superstep body, one recovery unit.  Its verdict
       // record follows the body's last exchange.
-      for (std::size_t attempt = 0;; ++attempt) {
-        const auto snap = snapshot();
-        const Attempt a = attempt_unit([&] { run_rounds(step); });
-        if (!coordinated) break;
-        // A failed rank keeps the schedule: its remaining exchanges post
-        // nothing, and what they deliver belongs to a doomed attempt.
-        for (; exchanges_made < body_exchanges; ++exchanges_made) {
-          (void)tp_->exchange();
-        }
-        const auto status = static_cast<std::byte>(a.status);
-        for (std::uint32_t q = 0; q < p; ++q) {
-          tp_->post(q, std::span<const std::byte>(&status, 1));
-        }
-        const auto verdicts = tp_->exchange();
-        std::vector<UnitStatus> votes(p);
-        for (std::uint32_t src = 0; src < p; ++src) {
-          if (verdicts[src].size() != 1 || verdicts[src][0].size() != 1) {
-            throw net::PeerFailedError(
-                "DistSimulator: malformed verdict record from rank " +
-                std::to_string(src));
-          }
-          votes[src] = static_cast<UnitStatus>(verdicts[src][0][0]);
-        }
-        if (!roll_back(votes, a, attempt)) {
-          contexts.commit_epoch();
-          break;
-        }
-        // Unanimous rollback to the last committed epoch.
-        restore(*snap);
-        contexts.discard_epoch();
-        ++result.recovery.superstep_rollbacks;
-        if (me == 0) record_rollback(rec, "superstep", me);
-      }
+      run_unit(
+          result.recovery.superstep_rollbacks, "superstep",
+          [&] { run_rounds(step); },
+          [&](const Attempt& a) {
+            // A failed rank keeps the schedule: its remaining exchanges
+            // post nothing, and what they deliver belongs to a doomed
+            // attempt.
+            for (; coordinated && exchanges_made < body_exchanges;
+                 ++exchanges_made) {
+              (void)tp_->exchange();
+            }
+            return vote_if_coordinated(a);
+          });
       tally.max_comm_bytes_step =
           std::max(tally.max_comm_bytes_step, comm_bytes_this_step);
 
@@ -878,91 +1014,143 @@ SimResult DistSimulator::run(
       bsp::SuperstepCost step_cost;
       bool any = false;
       bool cancel_seen = false;
-      for (std::size_t attempt = 0;; ++attempt) {
-        const auto snap = snapshot();
-        RoutingStats attempt_routing;
-        const Attempt a = attempt_unit([&] {
-          ObsPhase phase(rec, "reorganize", disks,
-                         &tally.phase_io.reorganize, me);
-          messages.flush(rng);
-          attempt_routing = messages.reorganize(rng);
-        });
-        {
-          util::Writer w;
-          w.write<bsp::SuperstepCost>(local_step_cost);
-          w.write<std::uint8_t>(want_continue ? 1 : 0);
-          const bool cancel_sample =
-              me == 0 && cfg_.cancel != nullptr &&
-              cfg_.cancel->load(std::memory_order_relaxed);
-          w.write<std::uint8_t>(cancel_sample ? 1 : 0);
-          w.write<UnitStatus>(a.status);
-          for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, w.bytes());
-        }
-        const auto controls = tp_->exchange();
-        step_cost = {};
-        any = false;
-        std::vector<UnitStatus> votes(p);
-        for (std::uint32_t src = 0; src < p; ++src) {
-          if (controls[src].size() != 1) {
-            throw net::PeerFailedError(
-                "DistSimulator: malformed control record from rank " +
-                std::to_string(src));
-          }
-          util::Reader r(controls[src][0]);
-          merge_cost(step_cost, r.read<bsp::SuperstepCost>());
-          any = any || r.read<std::uint8_t>() != 0;
-          const bool cancel = r.read<std::uint8_t>() != 0;
-          if (src == 0) cancel_seen = cancel;
-          votes[src] = r.read<UnitStatus>();
-        }
-        if (!roll_back(votes, a, attempt)) {
-          tally.routing += attempt_routing;
-          break;
-        }
-        restore(*snap);
-        ++result.recovery.reorganize_rollbacks;
-        if (me == 0) record_rollback(rec, "reorganize", me);
+      std::uint64_t undelivered = 0;
+      RoutingStats routing;
+      run_unit(
+          result.recovery.reorganize_rollbacks, "reorganize",
+          [&] {
+            ObsPhase phase(rec, "reorganize", disks,
+                           &tally.phase_io.reorganize, me);
+            // Ranks of p > 1 write their last partial cycle before padded
+            // mode's dummy blocks; a lone rank's reorganize pads that cycle
+            // first.  Either order is valid, and each is what its digests
+            // pin.
+            if (!lone) messages.flush(rng);
+            routing = messages.reorganize(rng);
+          },
+          [&](const Attempt& a) {
+            {
+              util::Writer w;
+              w.write<bsp::SuperstepCost>(local_step_cost);
+              w.write<std::uint8_t>(want_continue ? 1 : 0);
+              const bool cancel_sample =
+                  me == 0 && cfg_.cancel != nullptr &&
+                  cfg_.cancel->load(std::memory_order_relaxed);
+              w.write<std::uint8_t>(cancel_sample ? 1 : 0);
+              w.write<UnitStatus>(a.status);
+              // Real blocks the reorganize delivered: undeliverable when
+              // no processor continues.
+              w.write<std::uint64_t>(messages.undelivered_real_blocks());
+              for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, w.bytes());
+            }
+            const auto controls = tp_->exchange();
+            step_cost = {};
+            any = false;
+            undelivered = 0;
+            std::vector<UnitStatus> votes(p);
+            for (std::uint32_t src = 0; src < p; ++src) {
+              if (controls[src].size() != 1) {
+                throw net::PeerFailedError(
+                    "DistSimulator: malformed control record from rank " +
+                    std::to_string(src));
+              }
+              util::Reader r(controls[src][0]);
+              merge_cost(step_cost, r.read<bsp::SuperstepCost>());
+              // Every field is read on every rank: a short-circuit here
+              // would shift the fields that follow.
+              const bool cont = r.read<std::uint8_t>() != 0;
+              any = any || cont;
+              const bool cancel = r.read<std::uint8_t>() != 0;
+              if (src == 0) cancel_seen = cancel;
+              votes[src] = r.read<UnitStatus>();
+              undelivered += r.read<std::uint64_t>();
+            }
+            return votes;
+          });
+      tally.routing += routing;
+      if (lone) {
+        step_cost.max_wire_sent = local_step_cost.max_wire_sent;
+        result.per_superstep_io.push_back(disks.stats().since(step_entry));
       }
       result.costs.supersteps.push_back(step_cost);
+      if (!any) {
+        if (undelivered != 0) {
+          throw std::runtime_error(
+              "DistSimulator: messages sent in the final superstep were "
+              "never received");
+        }
+        break;
+      }
+
+      // --- Superstep boundary: the only re-planning point.  Recreating
+      // the pool is the adaptation (its threads hold no simulation state).
+      if (tuner.has_value()) {
+        const std::size_t width = pool != nullptr ? pool->width() : 1;
+        const std::size_t next = tuner->recommend(disks.engine_stats(), width);
+        if (next != width) {
+          pool.reset();
+          if (next > 1) pool = std::make_unique<util::ComputePool>(next - 1);
+        }
+      }
 
       // --- Superstep boundary: durability point (§5.1).
-      if (ckpt_active && any &&
+      if (ckpt_active &&
           (cancel_seen || (step + 1) % cfg_.checkpoint.every == 0)) {
         publish_checkpoint(step + 1);
       }
-      if (cancel_seen && any) {
+      if (cancel_seen) {
         throw CanceledError("DistSimulator: canceled at superstep boundary " +
                             std::to_string(step + 1));
       }
-      if (!any) break;
     }
 
-    // Collect this rank's final states and gather them.  Every rank of a
+    // Collect the final states, one group at a time, as a recovery unit:
+    // reads can still exhaust the retry budget.  Every rank of a
     // distributed run hands its workload driver the complete output
     // (drivers feed collected results into the next phase's input, and all
     // ranks must stay in lockstep), so the states are allgathered;
-    // ParSimulator's ranks share one caller and gather to rank 0 alone.
-    {
-      util::Writer local_out;
-      {
-        ObsPhase phase(rec, "collect", disks, &tally.phase_io.collect, me);
-        for (std::uint32_t r = 0; r < rounds; ++r) {
-          const std::uint32_t first = r * k;
-          const std::uint32_t count = std::min(k, local_v - first);
-          contexts.read_into(first, count, ctx_views);
-          // write_vector's framing: u64 length, then the bytes.
-          for (const auto view : ctx_views) {
-            local_out.write<std::uint64_t>(view.size());
-            local_out.write_bytes(view);
+    // ParSimulator's ranks share one caller, so rank 0 deserializes its own
+    // straight out of the staging and the others send theirs to it alone.
+    // A re-executed unit re-reads but hands no state over twice: a read that
+    // succeeded returned the committed state, and callers may accumulate.
+    util::Writer local_out;
+    std::uint32_t collected = 0;  // states rank 0 has handed over in place
+    run_unit(
+        result.recovery.superstep_rollbacks, "superstep",
+        [&] {
+          local_out = util::Writer();
+          ObsPhase phase(rec, "collect", disks, &tally.phase_io.collect, me);
+          for (std::uint32_t r = 0; r < rounds; ++r) {
+            const std::uint32_t first = r * k;
+            const std::uint32_t count = std::min(k, local_v - first);
+            contexts.read_into(first, count, ctx_views);
+            for (std::uint32_t i = 0; i < count; ++i) {
+              if (collect_in_place) {
+                if (first + i < collected) continue;
+                util::Reader sr(ctx_views[i]);
+                State s;
+                s.deserialize(sr);
+                collect(first + i, s);
+                ++collected;
+              } else {
+                // write_vector's framing: u64 length, then the bytes.
+                local_out.write<std::uint64_t>(ctx_views[i].size());
+                local_out.write_bytes(ctx_views[i]);
+              }
+            }
           }
-        }
-      }
-      disks.sync();
+        },
+        vote_if_coordinated);
+    // Flush barrier: push file-backend buffers to the medium so the
+    // backing files are externally consistent when run() returns.
+    disks.sync();
+    if (!collect_in_place) {
       const std::uint32_t receivers = in_process_ ? 1 : p;
       for (std::uint32_t q = 0; q < receivers; ++q) {
         tp_->post(q, local_out.bytes());
       }
     }
+    local_out = util::Writer();  // post() copied it; free it before the gather
     gathered = tp_->exchange();
 
     // --- End-of-run record allgather: every rank assembles the SAME
@@ -970,9 +1158,14 @@ SimResult DistSimulator::run(
     // overlap), so digests agree on every rank and every transport.
     disks.harvest_backend_stats();
     {
+      Tally t = live_tally();
+      t.routing.distribute_cycles += messages.distribute_cycles();
       util::Writer w;
-      w.write<Tally>(live_tally());
+      w.write<Tally>(t);
       w.write<em::IoStats>(disks.stats());
+      // Compute/I/O overlap: the fraction of the busiest disk's transfer
+      // time NOT spent blocking the simulator thread (~0 for the serial
+      // engine, whose stall equals its busy time).
       const auto& eng = disks.engine_stats();
       const std::uint64_t busy = eng.max_busy_ns();
       double clamped = 0.0;
@@ -1001,7 +1194,7 @@ SimResult DistSimulator::run(
       util::Reader r(records[src][0]);
       const auto t = r.read<Tally>();
       const auto io = r.read<em::IoStats>();
-      result.per_proc_io.push_back(io);
+      if (!lone) result.per_proc_io.push_back(io);
       if (io.parallel_ios >= result.total_io.parallel_ios) {
         result.total_io = io;
       }
@@ -1014,7 +1207,8 @@ SimResult DistSimulator::run(
       result.max_tracks_per_disk =
           std::max(result.max_tracks_per_disk, r.read<std::uint64_t>());
       copied_total += r.read<std::uint64_t>() + t.outbox_copied;
-      mem_routing = mem_routing && r.read<std::uint8_t>() != 0;
+      const bool routed_in_memory = r.read<std::uint8_t>() != 0;
+      mem_routing = mem_routing && routed_in_memory;
       result.recovery.io_retries += t.io_retries;
       result.recovery.io_giveups += t.io_giveups;
       result.recovery.faults += t.faults;
@@ -1025,13 +1219,12 @@ SimResult DistSimulator::run(
       arena_peak_all = std::max(arena_peak_all, t.arena_peak);
     }
 
-    // Registry: per-rank entries (proc.<r>.engine.*, phase spans, net.*)
+    // Registry: per-rank entries (engine counters, phase spans, net.*)
     // come from every rank, the run-wide ones from rank 0 alone — once,
     // even when all ranks share one registry.
     if (rec != nullptr) {
       auto& reg = rec->registry;
-      em::export_metrics(disks.engine_stats(), reg,
-                         "proc." + std::to_string(me) + ".engine.");
+      em::export_metrics(disks.engine_stats(), reg, engine_prefix);
       if (!in_process_) tp_->export_metrics(reg);
       if (me == 0) {
         export_routing_stats(reg, result.routing_stats);
@@ -1041,12 +1234,25 @@ SimResult DistSimulator::run(
                       static_cast<double>(result.group_size));
         reg.set_gauge("sim.max_tracks_per_disk",
                       static_cast<double>(result.max_tracks_per_disk));
-        reg.set_gauge("sim.real_comm_bytes",
-                      static_cast<double>(result.real_comm_bytes));
+        if (!lone) {
+          reg.set_gauge("sim.real_comm_bytes",
+                        static_cast<double>(result.real_comm_bytes));
+        }
         reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
+        // Copy discipline: staging bytes that crossed a memcpy (block
+        // staging plus legacy outbox materialization) and peak arena
+        // residency.
         reg.add("sim.bytes_copied", copied_total);
         reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak_all));
         reg.set_gauge("sim.in_memory_routing", mem_routing ? 1.0 : 0.0);
+        LayoutPlanner::export_plan(reg, plan, cfg_);
+        if (tuner.has_value()) {
+          reg.set_gauge("sim.layout.replans",
+                        static_cast<double>(tuner->replans()));
+          reg.set_gauge("sim.layout.compute_width",
+                        static_cast<double>(pool != nullptr ? pool->width()
+                                                            : 1));
+        }
       }
     }
   } catch (const std::exception& e) {
@@ -1057,9 +1263,9 @@ SimResult DistSimulator::run(
     throw;
   }
 
-  // Hand the driver the final states, in virtual-processor order.
+  // Hand the driver the remaining final states, in virtual-processor order.
   if (in_process_ && me != 0) return result;
-  for (std::uint32_t src = 0; src < p; ++src) {
+  for (std::uint32_t src = collect_in_place ? 1 : 0; src < p; ++src) {
     if (gathered[src].size() != 1) {
       throw net::PeerFailedError(
           "DistSimulator: malformed state record from rank " +

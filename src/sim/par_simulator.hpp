@@ -6,7 +6,8 @@
 // array (drive indices i*D + d) and shares nothing with its peers but the
 // messages it exchanges, so this runs the very rank loop a socket mesh runs
 // — fetch, forward, compute, scatter, reorganize with Algorithm 2, plus
-// coordinated rollback and checkpoints; see sim/dist_simulator.hpp.  The
+// coordinated rollback and checkpoints; see sim/dist_simulator.hpp.  At
+// p = 1 that loop is Algorithm 1, and SeqSimulator is this driver.  The
 // loopback group waits without a deadline, as a thread barrier does: a
 // straggling rank is slow, never lost.
 //

@@ -20,6 +20,7 @@
 #include "obs/span.hpp"
 #include "sim/dist_simulator.hpp"
 #include "sim/par_simulator.hpp"
+#include "sim/seq_simulator.hpp"
 #include "rank_groups.hpp"
 #include "test_programs.hpp"
 #include "util/rng.hpp"
@@ -34,6 +35,7 @@ using embsp::testing::make_socket_group;
 using embsp::testing::PrefixSumProgram;
 using embsp::testing::RingProgram;
 using embsp::testing::run_ranks;
+using embsp::testing::SocketRanks;
 using embsp::testing::unix_prefix;
 
 std::vector<std::byte> bytes_of(std::string_view s) {
@@ -779,6 +781,128 @@ TEST(DistSimulator, ExportsOverlapMetricsUnderPipeline) {
   EXPECT_GT(reg.gauge("net.link.1.max_inflight_bytes"), 0.0);
   EXPECT_GT(reg.histogram("net.link.1.send_bytes").count(), 0u);
   EXPECT_GT(reg.histogram("net.exchange_wait_ns").count(), 0u);
+}
+
+// --- Recovery on every rank: one burst at every call of one drive ----------
+
+/// Recovery and checksums on, so a burst that outlasts the retry budget
+/// rolls the enclosing unit back instead of failing the run.
+SimConfig sweep_config(std::uint32_t p) {
+  SimConfig cfg;
+  cfg.machine.p = p;
+  cfg.machine.bsp.v = 16;
+  cfg.machine.em.D = 2;
+  cfg.machine.em.B = 128;
+  cfg.machine.em.M = 64 << 10;
+  cfg.mu = 512;
+  cfg.gamma = 4096;
+  cfg.superstep_recovery = true;
+  cfg.block_checksums = true;
+  return cfg;
+}
+
+template <typename Sim>
+std::vector<std::uint64_t> sweep_run(const SimConfig& cfg, SimResult& res) {
+  Sim sim(cfg);
+  // Appended, so a state handed over twice (a retried collect) or out of
+  // order differs from the clean run.
+  std::vector<std::uint64_t> sums;
+  res = sim.template run<IrregularProgram>(
+      IrregularProgram{},
+      [](std::uint32_t) { return IrregularProgram::State{}; },
+      [&](std::uint32_t vp, IrregularProgram::State& s) {
+        sums.push_back(vp);
+        sums.push_back(s.checksum);
+      });
+  return sums;
+}
+
+/// Places one burst of retry.max_attempts failures at backend calls
+/// first, first + stride, ... of machine-wide drive `drive` until a burst
+/// lands past the drive's last call.  Every burst must cost exactly one
+/// rollback and leave the clean run's states.  Returns the first position
+/// past the end.
+template <typename Sim>
+std::uint64_t sweep_bursts(std::uint32_t p, std::uint32_t drive,
+                           std::uint64_t first, std::uint64_t stride) {
+  const auto cfg = sweep_config(p);
+  SimResult clean_res;
+  const auto clean = sweep_run<Sim>(cfg, clean_res);
+  std::uint64_t c = first;
+  for (;; c += stride) {
+    auto hostile = cfg;
+    hostile.faults.seed = 5;
+    hostile.faults.bursts.push_back(
+        {drive, c, static_cast<std::uint64_t>(cfg.retry.max_attempts)});
+    SimResult res;
+    std::vector<std::uint64_t> got;
+    try {
+      got = sweep_run<Sim>(hostile, res);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "burst at call " << c << ": " << e.what();
+      continue;
+    }
+    // Bursts are not in the fault tally; a burst that fired shows as
+    // retries and a give-up.
+    if (res.recovery.io_retries + res.recovery.io_giveups == 0) return c;
+    EXPECT_EQ(got, clean) << "burst at call " << c;
+    EXPECT_EQ(res.recovery.io_giveups, 1u) << "burst at call " << c;
+    EXPECT_EQ(res.recovery.total_rollbacks(), 1u) << "burst at call " << c;
+  }
+}
+
+TEST(RecoverySweep, EveryCallOfAWorkerRanksDrive) {
+  // Drive 2 is rank 1's drive 0.  Its first calls write initial contexts
+  // and its last read final ones: init and collect are recovery units too,
+  // and a give-up on rank 1 must be rolled back on every rank.
+  EXPECT_GT(sweep_bursts<ParSimulator>(2, 2, 0, 1), 200u);
+}
+
+TEST(RecoverySweep, SampledCallsOverASocketMesh) {
+  EXPECT_GT(sweep_bursts<SocketRanks>(2, 2, 0, 60), 200u);
+}
+
+TEST(RecoverySweep, EveryCallOfTheLoneRanksDrive) {
+  EXPECT_GT(sweep_bursts<SeqSimulator>(1, 0, 0, 1), 400u);
+}
+
+// --- Messages nobody receives -------------------------------------------------
+
+/// Every virtual processor sends one value and stops at once.
+struct LastWordProgram {
+  struct State {
+    void serialize(util::Writer&) const {}
+    void deserialize(util::Reader&) {}
+  };
+  bool superstep(std::size_t, const bsp::ProcEnv& env, State&,
+                 const bsp::Inbox&, bsp::Outbox& out) const {
+    out.send_value<std::uint64_t>((env.pid + 1) % env.nprocs, env.pid);
+    return false;
+  }
+};
+
+template <typename Sim>
+void expect_undelivered_error(std::uint32_t p) {
+  Sim sim(dist_config(p, 16, 2, 128, 64, 4096));
+  try {
+    sim.template run<LastWordProgram>(
+        LastWordProgram{},
+        [](std::uint32_t) { return LastWordProgram::State{}; },
+        [](std::uint32_t, LastWordProgram::State&) {});
+    ADD_FAILURE() << "p=" << p << ": the final superstep's messages vanished";
+  } catch (const net::NetError& e) {
+    ADD_FAILURE() << "p=" << p << ": root cause lost to an echo: " << e.what();
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("never received"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(FinalSuperstep, MessagesSentAreNeverSilentlyDropped) {
+  expect_undelivered_error<SeqSimulator>(1);
+  expect_undelivered_error<ParSimulator>(2);
+  expect_undelivered_error<ParSimulator>(4);
+  expect_undelivered_error<SocketRanks>(2);
 }
 
 }  // namespace

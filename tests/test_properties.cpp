@@ -158,8 +158,10 @@ TEST(KnobInvariance, OneFingerprintAcrossExecutionKnobs) {
   // how a run executes, never what it computes or what it costs.  Seeded
   // draws of all five, at a pinned k (so double-buffered contexts cannot
   // shrink an auto-picked group size), must agree on one fingerprint.
+  // p = 1 runs through SeqSimulator, or a one-rank socket mesh; it comes
+  // last so that p = 2 and 3 keep their draws.
   util::Rng draw(0x6b6e6f62);
-  for (const std::uint32_t p : {2u, 3u}) {
+  for (const std::uint32_t p : {2u, 3u, 1u}) {
     SimConfig base;
     base.machine.p = p;
     base.machine.bsp.v = 12;
@@ -168,7 +170,11 @@ TEST(KnobInvariance, OneFingerprintAcrossExecutionKnobs) {
     base.mu = 64;
     base.gamma = 4096;
     base.seed = 0x5eed;
-    const std::uint64_t want = run_fingerprint<ParSimulator>(base);
+    const auto local = [p](const SimConfig& cfg) {
+      return p == 1 ? run_fingerprint<SeqSimulator>(cfg)
+                    : run_fingerprint<ParSimulator>(cfg);
+    };
+    const std::uint64_t want = local(base);
     for (int trial = 0; trial < 10; ++trial) {
       const std::uint64_t bits = draw.below(32);
       const bool socket = (bits & 1) != 0;
@@ -179,8 +185,7 @@ TEST(KnobInvariance, OneFingerprintAcrossExecutionKnobs) {
       cfg.compute_threads = (bits & 8) != 0 ? 2 : 1;
       cfg.coalesce_io = (bits & 16) != 0;
       const std::uint64_t got =
-          socket ? run_fingerprint<testing::SocketRanks>(cfg)
-                 : run_fingerprint<ParSimulator>(cfg);
+          socket ? run_fingerprint<testing::SocketRanks>(cfg) : local(cfg);
       EXPECT_EQ(got, want) << "p=" << p << (socket ? " socket" : " loopback")
                            << " parallel=" << ((bits & 2) != 0)
                            << " pipeline=" << cfg.pipeline
