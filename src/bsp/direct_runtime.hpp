@@ -147,13 +147,17 @@ struct Requirements {
   std::size_t lambda = 0;   ///< supersteps
 };
 
+/// A program still running after `max_supersteps` supersteps throws, as
+/// DirectRuntime::run does.
 template <Program P>
 Requirements measure_requirements(
     const P& prog, std::uint32_t v,
-    const std::function<typename P::State(std::uint32_t)>& make_state) {
+    const std::function<typename P::State(std::uint32_t)>& make_state,
+    std::size_t max_supersteps = DirectRuntime::Options{}.max_supersteps) {
   DirectRuntime rt;
   DirectRuntime::Options opt;
   opt.measure_context = true;
+  opt.max_supersteps = max_supersteps;
   auto result = rt.run(
       prog, v, make_state, [](std::uint32_t, typename P::State&) {}, opt);
   return Requirements{result.max_context_bytes, result.gamma(),

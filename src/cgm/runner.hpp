@@ -44,19 +44,18 @@ class DirectExec {
   bsp::DirectRuntime::Options opt_;
 };
 
-/// Fills in mu/gamma by dry-running on the direct runtime if unset.
+/// Fills in mu/gamma by dry-running on the direct runtime if unset
+/// (sim::measure_budgets, under cfg.max_supersteps).
 template <bsp::Program P>
 sim::SimConfig autoconfigure(
     sim::SimConfig cfg, const P& prog, std::uint32_t v,
     const std::function<typename P::State(std::uint32_t)>& make_state) {
   cfg.machine.bsp.v = v;
   if (cfg.mu == 0 || cfg.gamma == 0) {
-    const auto req = bsp::measure_requirements(prog, v, make_state);
-    if (cfg.mu == 0) cfg.mu = req.mu + req.mu / 8 + 64;
-    // req.gamma is already in wire bytes (payload + per-message overhead),
-    // the exact quantity the simulators meter; a small margin guards
-    // against rounding.
-    if (cfg.gamma == 0) cfg.gamma = req.gamma + 64;
+    const sim::Budgets b =
+        sim::measure_budgets(prog, v, make_state, cfg.max_supersteps);
+    if (cfg.mu == 0) cfg.mu = b.mu;
+    if (cfg.gamma == 0) cfg.gamma = b.gamma;
   }
   return cfg;
 }

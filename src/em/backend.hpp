@@ -19,6 +19,11 @@
 // transfers, and one parallel I/O touches at most one track per disk, so
 // ranges never overlap within an operation.
 //
+// Batching: a backend that can keep several requests in flight reports
+// batch_capacity() > 1 and overrides transfer_batch(); the drive's worker
+// then hands it waves of queued transfers (UringBackend: one SQE wave per
+// call).  Every other backend gets one call per transfer.
+//
 // Error contract: I/O failures are reported as em::IoError (io_error.hpp)
 // so DiskArray::run_transfer can classify transient vs persistent failures
 // for its retry policy.
@@ -33,6 +38,15 @@
 #include <vector>
 
 namespace embsp::em {
+
+/// One file-contiguous transfer of a batch (Backend::transfer_batch): a
+/// read fills `dsts`, a write drains `srcs`, over consecutive byte ranges
+/// starting at `offset`.
+struct BatchIo {
+  std::uint64_t offset = 0;
+  std::span<const std::span<std::byte>> dsts;
+  std::span<const std::span<const std::byte>> srcs;
+};
 
 class Backend {
  public:
@@ -68,6 +82,27 @@ class Backend {
     for (const auto& s : srcs) {
       write(offset, s);
       offset += s.size();
+    }
+  }
+
+  /// Buffers one transfer_batch() call may carry when the backend batches
+  /// natively (UringBackend: its SQ entries).  The default, 1, says it does
+  /// not: callers then issue one call per transfer, which is what keeps a
+  /// call-indexed fault schedule (FaultInjectingBackend) in place.
+  [[nodiscard]] virtual std::size_t batch_capacity() const { return 1; }
+
+  /// Perform every transfer of `ios`: all reads (`is_read`) or all writes,
+  /// over pairwise disjoint byte ranges, so they may complete in any order.
+  /// When it throws, any subset may have landed; callers re-run the
+  /// transfers, which is idempotent.  The default is one read_vec() or
+  /// write_vec() per transfer, in order.
+  virtual void transfer_batch(bool is_read, std::span<const BatchIo> ios) {
+    for (const BatchIo& io : ios) {
+      if (is_read) {
+        read_vec(io.offset, io.dsts);
+      } else {
+        write_vec(io.offset, io.srcs);
+      }
     }
   }
 

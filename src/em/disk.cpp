@@ -37,31 +37,13 @@ void Disk::check(std::uint64_t track, std::size_t len) const {
 void Disk::read_track(std::uint64_t track, std::span<std::byte> dst) {
   check(track, dst.size());
   backend_->read(track * block_size_, dst);
-  ++reads_;
-  if (verify_ && track < has_sum_.size() && has_sum_[track] != 0) {
-    const std::uint64_t sum = util::checksum64(dst);
-    if (sum != sums_[track]) {
-      ++checksum_failures_;
-      throw CorruptBlockError("Disk: checksum mismatch on track " +
-                              std::to_string(track) +
-                              " (silent corruption detected)");
-    }
-  }
+  note_read(track, {&dst, 1});
 }
 
 void Disk::write_track(std::uint64_t track, std::span<const std::byte> src) {
   check(track, src.size());
   backend_->write(track * block_size_, src);
-  ++writes_;
-  tracks_used_ = std::max(tracks_used_, track + 1);
-  if (verify_) {
-    if (track >= has_sum_.size()) {
-      has_sum_.resize(track + 1, 0);
-      sums_.resize(track + 1, 0);
-    }
-    sums_[track] = util::checksum64(src);
-    has_sum_[track] = 1;
-  }
+  note_written(track, {&src, 1});
 }
 
 void Disk::read_tracks(std::uint64_t first_track,
@@ -71,6 +53,34 @@ void Disk::read_tracks(std::uint64_t first_track,
     check(first_track + i, dsts[i].size());
   }
   backend_->read_vec(first_track * block_size_, dsts);
+  note_read(first_track, dsts);
+}
+
+void Disk::write_tracks(std::uint64_t first_track,
+                        std::span<const std::span<const std::byte>> srcs) {
+  // An empty run touches nothing; without this return, note_written would
+  // wrap at track 0 and shrink the checksum table to nothing.
+  if (srcs.empty()) return;
+  for (std::size_t i = 0; i < srcs.size(); ++i) {
+    check(first_track + i, srcs[i].size());
+  }
+  backend_->write_vec(first_track * block_size_, srcs);
+  note_written(first_track, srcs);
+}
+
+void Disk::transfer_batch(bool is_read, std::span<const BatchIo> runs) {
+  backend_->transfer_batch(is_read, runs);
+  for (const BatchIo& r : runs) {
+    if (is_read) {
+      note_read(r.offset / block_size_, r.dsts);
+    } else if (!r.srcs.empty()) {
+      note_written(r.offset / block_size_, r.srcs);
+    }
+  }
+}
+
+void Disk::note_read(std::uint64_t first_track,
+                     std::span<const std::span<std::byte>> dsts) {
   reads_ += dsts.size();
   if (!verify_) return;
   for (std::size_t i = 0; i < dsts.size(); ++i) {
@@ -87,15 +97,8 @@ void Disk::read_tracks(std::uint64_t first_track,
   }
 }
 
-void Disk::write_tracks(std::uint64_t first_track,
+void Disk::note_written(std::uint64_t first_track,
                         std::span<const std::span<const std::byte>> srcs) {
-  // An empty run touches nothing; without this return, `last` below would
-  // wrap at track 0 and shrink the checksum table to nothing.
-  if (srcs.empty()) return;
-  for (std::size_t i = 0; i < srcs.size(); ++i) {
-    check(first_track + i, srcs[i].size());
-  }
-  backend_->write_vec(first_track * block_size_, srcs);
   writes_ += srcs.size();
   tracks_used_ = std::max(tracks_used_, first_track + srcs.size());
   if (!verify_) return;

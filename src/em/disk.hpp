@@ -44,6 +44,20 @@ class Disk {
   void write_tracks(std::uint64_t first_track,
                     std::span<const std::span<const std::byte>> srcs);
 
+  /// Throws what a transfer of `len` bytes at `track` would throw before
+  /// reaching the backend: a length other than one block, or a track beyond
+  /// the capacity.
+  void check(std::uint64_t track, std::size_t len) const;
+
+  /// Transfer `runs` — runs of whole tracks (offsets at track boundaries,
+  /// one block per buffer), every track already check()ed, pairwise
+  /// disjoint — with one Backend::transfer_batch call.  Per-track accounting
+  /// follows the call, run by run in order, exactly as read_tracks /
+  /// write_tracks charge it: reads()/writes(), tracks_used(), and each
+  /// track's checksum, recorded (writes) or verified (reads, throwing
+  /// CorruptBlockError at the first mismatch).
+  void transfer_batch(bool is_read, std::span<const BatchIo> runs);
+
   /// Flush buffered writes to the backend's medium (DiskArray::sync).
   void flush() { backend_->flush(); }
 
@@ -106,7 +120,11 @@ class Disk {
   }
 
  private:
-  void check(std::uint64_t track, std::size_t len) const;
+  /// Accounting of a completed run: counters, high-water, checksums.
+  void note_read(std::uint64_t first_track,
+                 std::span<const std::span<std::byte>> dsts);
+  void note_written(std::uint64_t first_track,
+                    std::span<const std::span<const std::byte>> srcs);
 
   std::size_t block_size_;
   std::unique_ptr<Backend> backend_;

@@ -119,6 +119,11 @@ void DiskArray::run_transfer(const PendingOp& op, std::size_t index) {
       }
     }
   }
+  account(ds, op, t);
+}
+
+void DiskArray::account(DiskIoStats& ds, const PendingOp& op,
+                        const Transfer& t) {
   // Every track of a run has the first one's length (submit_batch extends
   // runs only over equal lengths).
   const std::size_t len =
@@ -126,6 +131,72 @@ void DiskArray::run_transfer(const PendingOp& op, std::size_t index) {
   ds.ops += t.tracks;
   ds.bytes += len * t.tracks;
   if (t.tracks > 1) ds.coalesced_tracks += t.tracks - 1;
+}
+
+void DiskArray::run_wave(std::span<const Task> wave) {
+  const auto run_alone = [this](const Task& task) {
+    std::exception_ptr error;
+    try {
+      run_transfer(*task.op, task.index);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    // complete() publishes the transfer's effects (and the error slot) to
+    // whichever thread eventually waits the token.
+    task.op->complete(task.index, std::move(error));
+  };
+  if (wave.size() == 1) {
+    run_alone(wave.front());
+    return;
+  }
+  const std::uint32_t d = wave.front().op->transfers[wave.front().index].disk;
+  Disk& disk = *disks_[d];
+  const bool is_read = wave.front().op->is_read;
+  std::vector<BatchIo> ios;
+  std::vector<const Task*> batched;
+  ios.reserve(wave.size());
+  batched.reserve(wave.size());
+  for (const Task& task : wave) {
+    const PendingOp& op = *task.op;
+    const Transfer& t = op.transfers[task.index];
+    BatchIo io{t.track * block_size_, {}, {}};
+    if (is_read) {
+      io.dsts = std::span(op.dst).subspan(t.first, t.tracks);
+    } else {
+      io.srcs = std::span(op.src).subspan(t.first, t.tracks);
+    }
+    try {
+      for (std::size_t k = 0; k < t.tracks; ++k) {
+        disk.check(t.track + k,
+                   is_read ? io.dsts[k].size() : io.srcs[k].size());
+      }
+    } catch (...) {
+      task.op->complete(task.index, std::current_exception());
+      continue;
+    }
+    ios.push_back(io);
+    batched.push_back(&task);
+  }
+  if (ios.empty()) return;
+  auto& ds = engine_.per_disk[d];
+  const std::uint64_t t0 = now_ns();
+  bool landed = true;
+  try {
+    disk.transfer_batch(is_read, ios);
+  } catch (...) {
+    landed = false;
+  }
+  const std::uint64_t dt = now_ns() - t0;
+  ds.busy_ns += dt;
+  ds.service_ns.record(dt);
+  for (const Task* task : batched) {
+    if (!landed) {
+      run_alone(*task);
+      continue;
+    }
+    account(ds, *task->op, task->op->transfers[task->index]);
+    task->op->complete(task->index, nullptr);
+  }
 }
 
 void DiskArray::PendingOp::complete(std::size_t index,

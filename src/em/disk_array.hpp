@@ -39,8 +39,9 @@
 //  * ParallelDiskArray  — a persistent worker pool, one worker per drive,
 //                         with a FIFO task queue per worker: submissions
 //                         return immediately and the D transfers of each
-//                         operation proceed concurrently
-//                         (parallel_disk_array.hpp).
+//                         operation proceed concurrently; a drive whose
+//                         backend batches natively takes its queued
+//                         transfers in waves (parallel_disk_array.hpp).
 // Select via make_disk_array(IoEngine, ...).  Model-cost accounting
 // (IoStats) is engine-independent; EngineStats records what the engine did
 // with the hardware (per-disk busy time, issuing-thread stall, queue depth).
@@ -272,9 +273,32 @@ class DiskArray {
   /// retries/giveups.  Safe to call concurrently for *different* disks.
   void run_transfer(const PendingOp& op, std::size_t index);
 
+  /// A transfer queued on its drive: the owning operation (shared so the op
+  /// outlives every worker access regardless of wait/drain timing) and the
+  /// transfer's index within it.
+  struct Task {
+    std::shared_ptr<PendingOp> op;
+    std::size_t index;
+  };
+
+  /// Execute and complete `wave`: consecutive queued transfers of one
+  /// drive, in FIFO order, all reads or all writes, with pairwise disjoint
+  /// track ranges.  A lone transfer runs through run_transfer.  Otherwise
+  /// each transfer is Disk::check()ed (one that fails completes with its
+  /// own error and stays out), and the rest reach the drive as one
+  /// Disk::transfer_batch call, which charges the Disk counters in FIFO
+  /// order.  If that call throws, every transfer in it re-runs through
+  /// run_transfer with the retry policy — idempotent, and each keeps its
+  /// own error.  EngineStats: ops, bytes and coalesced_tracks per transfer;
+  /// busy_ns and service_ns one sample per wave.  Safe to call
+  /// concurrently for *different* disks.
+  void run_wave(std::span<const Task> wave);
+
   EngineStats engine_;
 
  private:
+  /// Charge a completed transfer's ops, bytes and coalesced tracks.
+  static void account(DiskIoStats& ds, const PendingOp& op, const Transfer& t);
   void check_distinct(std::span<const std::uint32_t> disks) const;
   template <class Op>
   IoToken submit(std::span<const Op> ops, bool is_read);

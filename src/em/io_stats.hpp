@@ -83,8 +83,10 @@ struct DiskIoStats {
   /// ops still counts every track, so ops - coalesced_tracks approximates
   /// the drive's backend call count.
   std::uint64_t coalesced_tracks = 0;
-  /// Per-attempt service time (every backend transfer attempt, successful
-  /// or not) — busy_ns is this histogram's sum.
+  /// Service time per backend call — every transfer attempt, successful
+  /// or not, or one sample per wave when the drive's backend batches
+  /// (ParallelDiskArray over UringBackend) — busy_ns is this histogram's
+  /// sum.
   obs::LogHistogram service_ns;
   /// Backoff delay actually slept before each retry (jittered; see
   /// RetryPolicy) — the latency cost of absorbing transient faults.

@@ -7,17 +7,30 @@
 // executes the D transfers back-to-back on the issuing thread, so on a file
 // backend the simulator never sees real disk parallelism.  This engine
 // keeps one persistent worker thread per drive, each with a FIFO task
-// queue: submit_read/submit_write enqueue one task per transfer and return
+// queue: submit_read/submit_write enqueue one task per transfer — all of an
+// operation's transfers for one drive in one critical section — and return
 // immediately; wait() joins the operation.  The blocking calls therefore
 // complete in ~max (not sum) of the per-disk transfer times, and the
 // pipelined simulator can keep several operations in flight while it
 // computes.
 //
+// Queue depth: a worker whose backend batches natively
+// (Backend::batch_capacity() > 1, i.e. UringBackend) takes a *wave* off the
+// front of its queue — every queued transfer up to the first one that
+// changes direction, overlaps the track range of a transfer already in the
+// wave, or would take the wave past the capacity — and hands it to the
+// drive as one call (DiskArray::run_wave), so the transfers the simulator
+// already has in flight reach the device together.  Any other backend
+// (memory, file, fault-injecting) gets one call per transfer.
+//
 // Threading model / ordering guarantees (see DESIGN.md §"I/O engine"):
-//  * one worker per drive — a drive executes its tasks strictly in
-//    submission order (FIFO), and a single parallel I/O touches each drive
-//    at most once (model invariant), so two transfers to the same byte
-//    range are always ordered by their submission order;
+//  * one worker per drive — a drive executes its tasks in submission order
+//    (FIFO): a wave holds only same-direction transfers with pairwise
+//    disjoint track ranges, so completing them in any order is
+//    indistinguishable from completing them one by one, and two transfers
+//    to the same track (a single parallel I/O touches each drive at most
+//    once — model invariant — but distinct in-flight operations may) land
+//    in separate waves, in submission order;
 //  * higher layers only submit overlapping-range operations when the
 //    earlier one must land first (e.g. a context write of group g before a
 //    later superstep's read of the same slot), which the per-drive FIFO
@@ -26,7 +39,8 @@
 //  * the per-drive FIFO also fixes the per-disk *call sequence*: a
 //    deterministic fault schedule keyed on (seed, disk, per-disk call
 //    count) fires on the same transfers whether operations were submitted
-//    eagerly (pipelined) or one at a time (serial schedule);
+//    eagerly (pipelined) or one at a time (serial schedule) — the
+//    FaultInjectingBackend does not batch, so waves never form under it;
 //  * wait() blocks until every transfer of the operation has settled;
 //    PendingOp::complete publishes the workers' effects (data, per-disk
 //    stats, Disk counters) to the issuing thread, so reading stats after a
@@ -36,11 +50,11 @@
 //    after the whole operation has settled, leaving the array usable;
 //  * sync() waits out every token and flushes every backend to its medium.
 //
-// IoEngine::uring reuses this scheduler unchanged: each drive's worker is
-// the single issuer of its UringBackend's ring (uring_backend.hpp), so the
+// IoEngine::uring reuses this scheduler: each drive's worker is the single
+// issuer of its UringBackend's ring (uring_backend.hpp), so the
 // kernel-native engine inherits every ordering and parity guarantee above —
-// what changes is only how a transfer reaches the device (SQE/CQE waves
-// instead of blocking p{read,write}v).
+// what changes is how transfers reach the device (one SQE wave per queued
+// wave instead of one blocking p{read,write}v each).
 #pragma once
 
 #include <condition_variable>
@@ -65,14 +79,6 @@ class ParallelDiskArray final : public DiskArray {
   void start(const std::shared_ptr<PendingOp>& op) override;
 
  private:
-  /// One enqueued transfer: the owning operation (shared so the op outlives
-  /// every worker access regardless of wait/drain timing) and the index of
-  /// the transfer within it.
-  struct Task {
-    std::shared_ptr<PendingOp> op;
-    std::size_t index;
-  };
-
   struct Worker {
     std::mutex m;
     std::condition_variable cv;

@@ -162,6 +162,17 @@ struct UringBackend::Impl {
     std::size_t len = 0;
   };
 
+  /// A bounced read of the wave being built: batch transfer `io` lands at
+  /// `at` bytes into `staging` and is copied out once the wave completes.
+  struct Bounce {
+    std::size_t io;
+    std::size_t at;
+    std::size_t len;
+  };
+  // The wave being built by run_batch (reused across calls).
+  std::vector<Unit> wave;
+  std::vector<Bounce> bounces;
+
   [[nodiscard]] bool aligned(std::uint64_t offset, const void* p,
                              std::size_t len) const {
     const std::size_t a = cfg.alignment;
@@ -456,6 +467,87 @@ struct UringBackend::Impl {
     }
     bump_size(offset + total);
   }
+
+  // --- batches -------------------------------------------------------------
+  /// Perform every transfer of `ios` (one direction, disjoint byte ranges)
+  /// as few SQE waves as the staging allows.  Under O_DIRECT, a transfer
+  /// whose every buffer is aligned goes straight into the wave; one that is
+  /// file-aligned (offset and length) but has a misaligned buffer bounces
+  /// through its own slice of `staging`, and the wave is submitted early
+  /// when the next slice would not fit.  A transfer needing read-modify-
+  /// write (unaligned offset or length), or larger than the staging, takes
+  /// the one-at-a-time staged path, which reuses the whole staging buffer,
+  /// so the wave built so far is submitted first.
+  void run_batch(bool is_read, std::span<const BatchIo> ios) {
+    const std::size_t a = cfg.alignment;
+    auto* stage = static_cast<std::byte*>(staging);
+    wave.clear();
+    bounces.clear();
+    std::size_t used = 0;   // staging bytes the wave's bounces hold
+    std::uint64_t end = 0;  // byte high-water the batch's writes reach
+    const auto submit = [&] {
+      if (wave.empty()) return;
+      run_wave(wave, is_read);
+      for (const Bounce& b : bounces) {
+        for_each_piece(ios[b.io].dsts, 0, b.len,
+                       [&](std::byte* p, std::size_t at, std::size_t len) {
+                         std::memcpy(p, stage + b.at + at, len);
+                       });
+      }
+      stats.bounced_bytes += used;
+      wave.clear();
+      bounces.clear();
+      used = 0;
+    };
+    for (std::size_t i = 0; i < ios.size(); ++i) {
+      const BatchIo& io = ios[i];
+      const std::size_t mark = wave.size();
+      std::uint64_t pos = io.offset;
+      bool straight = true;  // every buffer may go to the device as-is
+      const auto add = [&](std::byte* dst, const std::byte* src,
+                           std::size_t len) {
+        if (len == 0) return;
+        straight = straight &&
+                   (!direct || aligned(pos, dst != nullptr ? dst : src, len));
+        wave.push_back({pos, dst, src, len});
+        pos += len;
+      };
+      if (is_read) {
+        for (const auto& b : io.dsts) add(b.data(), nullptr, b.size());
+      } else {
+        for (const auto& b : io.srcs) add(nullptr, b.data(), b.size());
+      }
+      const auto total = static_cast<std::size_t>(pos - io.offset);
+      if (total == 0) continue;
+      end = std::max(end, pos);
+      if (straight) continue;
+      wave.resize(mark);  // this transfer cannot go straight in
+      if (io.offset % a == 0 && total % a == 0 && total <= staging_len) {
+        if (used + total > staging_len) submit();
+        if (is_read) {
+          bounces.push_back({i, used, total});
+          wave.push_back({io.offset, stage + used, nullptr, total});
+        } else {
+          for_each_piece(io.srcs, 0, total,
+                         [&](const std::byte* p, std::size_t at,
+                             std::size_t len) {
+                           std::memcpy(stage + used + at, p, len);
+                         });
+          wave.push_back({io.offset, nullptr, stage + used, total});
+        }
+        used += total;
+        continue;
+      }
+      submit();
+      if (is_read) {
+        staged_read(io.offset, io.dsts, total);
+      } else {
+        staged_write(io.offset, io.srcs, total);
+      }
+    }
+    submit();
+    if (!is_read) bump_size(end);
+  }
 };
 
 UringBackend::UringBackend(std::string path, bool keep, UringConfig cfg)
@@ -542,78 +634,33 @@ UringBackend::~UringBackend() {
 }
 
 void UringBackend::read(std::uint64_t offset, std::span<std::byte> dst) {
-  if (dst.empty()) return;
-  Impl& s = *impl_;
-  std::lock_guard<std::mutex> lock(s.m);
-  if (s.direct && !s.aligned(offset, dst.data(), dst.size())) {
-    s.staged_read(offset, {&dst, 1}, dst.size());
-    return;
-  }
-  std::vector<Impl::Unit> u{{offset, dst.data(), nullptr, dst.size()}};
-  s.run_wave(u, /*is_read=*/true);
+  read_vec(offset, {&dst, 1});
 }
 
 void UringBackend::write(std::uint64_t offset, std::span<const std::byte> src) {
-  if (src.empty()) return;
-  Impl& s = *impl_;
-  std::lock_guard<std::mutex> lock(s.m);
-  if (s.direct && !s.aligned(offset, src.data(), src.size())) {
-    s.staged_write(offset, {&src, 1}, src.size());
-    return;
-  }
-  std::vector<Impl::Unit> u{{offset, nullptr, src.data(), src.size()}};
-  s.run_wave(u, /*is_read=*/false);
-  s.bump_size(offset + src.size());
+  write_vec(offset, {&src, 1});
 }
 
 void UringBackend::read_vec(std::uint64_t offset,
                             std::span<const std::span<std::byte>> dsts) {
-  Impl& s = *impl_;
-  std::lock_guard<std::mutex> lock(s.m);
-  std::vector<Impl::Unit> units;
-  units.reserve(dsts.size());
-  std::uint64_t pos = offset;
-  bool ok = true;
-  for (const auto& d : dsts) {
-    if (!d.empty()) {
-      units.push_back({pos, d.data(), nullptr, d.size()});
-      ok = ok && (!s.direct || s.aligned(pos, d.data(), d.size()));
-    }
-    pos += d.size();
-  }
-  if (units.empty()) return;
-  if (!ok) {
-    // O_DIRECT with unaligned pieces: the whole run bounces at once.
-    s.staged_read(offset, dsts, static_cast<std::size_t>(pos - offset));
-    return;
-  }
-  s.run_wave(units, /*is_read=*/true);
+  const BatchIo io{offset, dsts, {}};
+  transfer_batch(/*is_read=*/true, {&io, 1});
 }
 
 void UringBackend::write_vec(std::uint64_t offset,
                              std::span<const std::span<const std::byte>> srcs) {
+  const BatchIo io{offset, {}, srcs};
+  transfer_batch(/*is_read=*/false, {&io, 1});
+}
+
+std::size_t UringBackend::batch_capacity() const {
+  return impl_->sq_entries;
+}
+
+void UringBackend::transfer_batch(bool is_read, std::span<const BatchIo> ios) {
   Impl& s = *impl_;
   std::lock_guard<std::mutex> lock(s.m);
-  std::vector<Impl::Unit> units;
-  units.reserve(srcs.size());
-  std::uint64_t pos = offset;
-  std::uint64_t total = 0;
-  bool ok = true;
-  for (const auto& src : srcs) {
-    if (!src.empty()) {
-      units.push_back({pos, nullptr, src.data(), src.size()});
-      ok = ok && (!s.direct || s.aligned(pos, src.data(), src.size()));
-    }
-    pos += src.size();
-    total += src.size();
-  }
-  if (units.empty()) return;
-  if (!ok) {
-    s.staged_write(offset, srcs, static_cast<std::size_t>(total));
-    return;
-  }
-  s.run_wave(units, /*is_read=*/false);
-  s.bump_size(offset + total);
+  s.run_batch(is_read, ios);
 }
 
 void UringBackend::flush() {
@@ -705,6 +752,8 @@ void UringBackend::read_vec(std::uint64_t,
                             std::span<const std::span<std::byte>>) {}
 void UringBackend::write_vec(std::uint64_t,
                              std::span<const std::span<const std::byte>>) {}
+std::size_t UringBackend::batch_capacity() const { return 1; }
+void UringBackend::transfer_batch(bool, std::span<const BatchIo>) {}
 void UringBackend::flush() {}
 std::uint64_t UringBackend::size() const { return 0; }
 bool UringBackend::register_buffers(std::span<const std::span<std::byte>>) {

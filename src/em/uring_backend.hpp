@@ -13,6 +13,12 @@
 //                                coalesced run of adjacent tracks costs one
 //                                syscall per wave like preadv, and scales
 //                                past IOV_MAX;
+//   * transfer_batch()         — every transfer of a batch (one direction,
+//                                disjoint ranges) in the same wave, so the
+//                                drive sees them together: the queue depth
+//                                ParallelDiskArray's worker builds up for
+//                                this ring (batch_capacity() = SQ entries).
+//                                The calls above are its one-transfer case;
 //   * flush()                  — an IORING_OP_FSYNC (datasync) SQE.
 //
 // Fixed buffers: register_buffers() hands bump-allocated arenas (or any
@@ -30,11 +36,15 @@
 // gathered into (or scattered out of) aligned chunks, one SQE and one
 // enter per chunk, so a run of N tracks costs ceil(bytes / 1 MiB) device
 // requests, not N.  Writes read-modify-write only the run's unaligned
-// first and last alignment unit.  This keeps the Backend byte-semantics
-// identical to FileBackend at a copy cost recorded in
-// UringBackendStats::bounced_bytes.  Filesystems that reject
-// O_DIRECT (tmpfs) degrade gracefully: the open retries without the flag
-// and direct_io() reports false.
+// first and last alignment unit.  In a batch, a file-aligned transfer from
+// a misaligned buffer bounces through its own slice of the staging buffer
+// and rides the shared wave, which is submitted early when the next slice
+// would not fit — the staging never grows with the batch; a transfer that
+// needs read-modify-write (unaligned offset or length) bounces alone.
+// This keeps the Backend byte-semantics identical to FileBackend at a copy
+// cost recorded in UringBackendStats::bounced_bytes.  Filesystems that
+// reject O_DIRECT (tmpfs) degrade gracefully: the open retries without the
+// flag and direct_io() reports false.
 //
 // Fallback: uring_supported() probes the kernel once (io_uring_setup);
 // make_uring_file_backend() returns a plain FileBackend when the probe
@@ -63,7 +73,9 @@ namespace embsp::em {
 /// Tuning knobs of one ring; defaults suit one-drive-per-ring use.
 struct UringConfig {
   /// SQ entries requested from io_uring_setup (kernel rounds up to a power
-  /// of two).  64 comfortably holds the widest coalesced wave per drive.
+  /// of two).  The ring's SQ entries are also its batch_capacity(): the
+  /// most tracks a drive worker puts in one wave, i.e. the drive's queue
+  /// depth.
   unsigned entries = 64;
   /// Open the backing file O_DIRECT (page-cache bypass); silently degraded
   /// to buffered I/O on filesystems that refuse it (see direct_io()).
@@ -111,6 +123,9 @@ class UringBackend final : public Backend {
                 std::span<const std::span<std::byte>> dsts) override;
   void write_vec(std::uint64_t offset,
                  std::span<const std::span<const std::byte>> srcs) override;
+  /// The ring's SQ entries: a wave never needs more than one enter.
+  [[nodiscard]] std::size_t batch_capacity() const override;
+  void transfer_batch(bool is_read, std::span<const BatchIo> ios) override;
   void flush() override;
   [[nodiscard]] std::uint64_t size() const override;
 

@@ -339,7 +339,7 @@ SimResult DistSimulator::run(
   const bool pipelined = cfg_.pipeline;
   try {
     if (pipelined) {
-      messages.enable_write_behind(4);
+      messages.enable_write_behind();
       if (cfg_.compute_threads > 1) {
         pool = std::make_unique<util::ComputePool>(cfg_.compute_threads - 1);
       }

@@ -312,9 +312,14 @@ void MessageStore::flush(util::Rng& rng) {
   while (inflight_.size() > write_behind_) retire_oldest_inflight();
 }
 
-void MessageStore::enable_write_behind(std::size_t max_inflight) {
-  if (max_inflight == 0 && !inflight_.empty()) quiesce();
-  write_behind_ = max_inflight;
+void MessageStore::enable_write_behind() {
+  write_behind_ = static_cast<std::size_t>(window_cycles());
+}
+
+std::uint64_t MessageStore::window_cycles() const {
+  return std::max<std::uint64_t>(
+      1, cfg_.memory_budget_bytes /
+             (static_cast<std::uint64_t>(num_disks_) * block_size_));
 }
 
 void MessageStore::retire_oldest_inflight() {
@@ -423,9 +428,7 @@ RoutingStats MessageStore::reorganize(util::Rng& rng) {
   // window spans, so IoStats and RoutingStats equal the per-cycle
   // schedule's.  W is what the routing budget holds of D-block cycles, so a
   // window's staging never exceeds the memory M leaves beside the contexts.
-  const std::uint64_t window = std::max<std::uint64_t>(
-      1, cfg_.memory_budget_bytes /
-             (static_cast<std::uint64_t>(num_disks_) * block_size_));
+  const std::uint64_t window = window_cycles();
   std::vector<std::byte> buf;
   std::vector<em::ReadOp> reads;
   std::vector<em::WriteOp> writes;

@@ -71,7 +71,7 @@ struct MessageStoreConfig {
   std::uint64_t leaf_capacity_blocks = 0;
   /// Destination virtual processor -> global leaf group, used while
   /// re-cutting super-group blocks.  Required when leaf_fanout > 1.
-  std::function<std::uint32_t(std::uint32_t dst)> leaf_of;
+  std::function<std::uint32_t(std::uint32_t dst)> leaf_of{};
 };
 
 class MessageStore {
@@ -115,12 +115,12 @@ class MessageStore {
   // --- Write-behind (pipelined simulator) ----------------------------------
 
   /// Let flush() SUBMIT write cycles instead of blocking on them, keeping
-  /// at most `max_inflight` cycles outstanding (the oldest is waited when
-  /// the bound is hit, so staging memory stays <= max_inflight * D blocks).
-  /// Placement and RNG draws still happen at submission in call order, so
-  /// the disk image is byte-identical to the blocking schedule.  0 turns
-  /// write-behind off (the default).
-  void enable_write_behind(std::size_t max_inflight);
+  /// at most reorganize()'s window W = max(1, memory_budget_bytes / (D*B))
+  /// cycles outstanding (the oldest is waited when the bound is hit, so the
+  /// in-flight blocks stay within the routing budget).  Placement and RNG
+  /// draws still happen at submission in call order, so the disk image is
+  /// byte-identical to the blocking schedule.  Off by default.
+  void enable_write_behind();
 
   /// Wait out every in-flight write cycle (first error rethrown after the
   /// simulator's usual wait ordering).  Must be called before reorganize()
@@ -340,6 +340,8 @@ class MessageStore {
     std::vector<PendingBlock> blocks;
   };
   void retire_oldest_inflight();
+  /// D-block cycles the routing budget holds: W = max(1, budget / (D*B)).
+  [[nodiscard]] std::uint64_t window_cycles() const;
 
   std::size_t write_behind_ = 0;             // max in-flight cycles (0 = off)
   std::deque<InFlightCycle> inflight_;

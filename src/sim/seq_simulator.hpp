@@ -67,6 +67,28 @@ class SeqSimulator {
   ParSimulator par_;
 };
 
+/// The µ and γ a simulation of `prog` on `v` virtual processors is
+/// configured with: a direct dry run measures both, stopping after
+/// `max_supersteps` supersteps like the simulation it precedes (pass
+/// SimConfig::max_supersteps), and each gets headroom — serialized context
+/// sizes may drift (µ + µ/8 + 64), and γ, already in wire bytes, gets a
+/// margin against rounding (γ + 64).
+struct Budgets {
+  std::size_t mu = 0;
+  std::size_t gamma = 0;
+};
+
+template <bsp::Program P>
+Budgets measure_budgets(
+    const P& prog, std::uint32_t v,
+    const std::function<typename P::State(std::uint32_t)>& make_state,
+    std::size_t max_supersteps) {
+  const auto req =
+      bsp::measure_requirements(prog, v, make_state, max_supersteps);
+  return Budgets{req.mu + req.mu / 8 + 64,
+                 static_cast<std::size_t>(req.gamma) + 64};
+}
+
 /// Convenience: measure mu/gamma with a direct dry run (small v is fine as
 /// long as it has the same per-processor footprint), then simulate.
 template <bsp::Program P>
@@ -74,10 +96,10 @@ SimResult simulate_measured(
     const P& prog, SimConfig cfg,
     const std::function<typename P::State(std::uint32_t)>& make_state,
     const std::function<void(std::uint32_t, typename P::State&)>& collect) {
-  const auto req =
-      bsp::measure_requirements(prog, cfg.machine.bsp.v, make_state);
-  cfg.mu = req.mu + req.mu / 8 + 64;  // headroom: serialized sizes may drift
-  cfg.gamma = req.gamma + 64;         // req.gamma is already in wire bytes
+  const Budgets b = measure_budgets(prog, cfg.machine.bsp.v, make_state,
+                                    cfg.max_supersteps);
+  cfg.mu = b.mu;
+  cfg.gamma = b.gamma;
   SeqSimulator sim(cfg);
   return sim.run(prog, make_state, collect);
 }

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "cgm/permutation.hpp"
 #include "cgm/primitives.hpp"
@@ -271,6 +274,53 @@ TEST(Primitives, FenwickPrefixSums) {
   EXPECT_EQ(f.prefix(1), 5u);
   EXPECT_EQ(f.prefix(4), 7u);
   EXPECT_EQ(f.prefix(10), 14u);
+}
+
+// A program that never stops.  Each superstep call bumps `calls`; past
+// `ceiling` calls it throws on its own, so a dry run that ignores the
+// configured superstep limit fails fast instead of running to the direct
+// runtime's limit of 1,000,000.
+struct RunawayProgram {
+  std::atomic<std::uint64_t>* calls = nullptr;
+  std::uint64_t ceiling = 0;
+  struct State {
+    std::uint64_t x = 0;
+    void serialize(util::Writer& w) const { w.write(x); }
+    void deserialize(util::Reader& r) { x = r.read<std::uint64_t>(); }
+  };
+  bool superstep(std::size_t, const bsp::ProcEnv&, State&, const bsp::Inbox&,
+                 bsp::Outbox&) const {
+    if (calls->fetch_add(1) >= ceiling) {
+      throw std::runtime_error("runaway program ran past its ceiling");
+    }
+    return true;
+  }
+};
+
+TEST(DryRun, StopsAtTheConfiguredSuperstepLimit) {
+  constexpr std::uint32_t kV = 8;
+  constexpr std::size_t kLimit = 50;
+  for (const std::uint32_t p : {1u, 2u}) {
+    SCOPED_TRACE(::testing::Message() << "p = " << p);
+    std::atomic<std::uint64_t> calls{0};
+    const RunawayProgram prog{&calls, 2 * kLimit * kV};
+    auto cfg = em_config(p, 2, 128);
+    cfg.max_supersteps = kLimit;  // mu = gamma = 0: the executor dry-runs
+    const auto make = [](std::uint32_t) { return RunawayProgram::State{}; };
+    const auto collect = [](std::uint32_t, RunawayProgram::State&) {};
+    std::string error;
+    try {
+      if (p == 1) {
+        SeqEmExec(cfg).run<RunawayProgram>(prog, kV, make, collect);
+      } else {
+        ParEmExec(cfg).run<RunawayProgram>(prog, kV, make, collect);
+      }
+    } catch (const std::runtime_error& e) {
+      error = e.what();
+    }
+    EXPECT_NE(error.find("superstep limit"), std::string::npos) << error;
+    EXPECT_LE(calls.load(), kLimit * kV);
+  }
 }
 
 }  // namespace

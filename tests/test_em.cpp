@@ -322,7 +322,7 @@ TEST(LinkedBuckets, TracksRecycledAfterDrain) {
 
 volatile sig_atomic_t g_storm_ticks = 0;
 
-extern "C" void storm_tick(int) { ++g_storm_ticks; }
+extern "C" void storm_tick(int) { g_storm_ticks = g_storm_ticks + 1; }
 
 TEST(FileBackend, SurvivesSignalStorm) {
   const auto path =
@@ -370,7 +370,9 @@ TEST(FileBackend, SurvivesSignalStorm) {
       ASSERT_EQ(std::memcmp(lo.data(), block.data(), kBlock / 2), 0);
       ASSERT_EQ(std::memcmp(hi.data(), block.data() + kBlock / 2, kBlock / 2),
                 0);
-      if (round % 32 == 0) ASSERT_NO_THROW(be->flush());
+      if (round % 32 == 0) {
+        ASSERT_NO_THROW(be->flush());
+      }
     }
   }
 

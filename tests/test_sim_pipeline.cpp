@@ -201,9 +201,6 @@ void expect_same_costs(const sim::SimResult& a, const sim::SimResult& b) {
 std::uint64_t fingerprint(const IrregularProgram::State& s) {
   return s.checksum;
 }
-std::uint64_t fingerprint(const PrefixSumProgram::State& s) {
-  return s.prefix;
-}
 std::uint64_t fingerprint(const RingProgram::State& s) {
   std::uint64_t h = 14695981039346656037ULL;
   for (auto wdata : s.data) h = (h ^ wdata) * 1099511628211ULL;

@@ -1,15 +1,21 @@
 // UringBackend unit tests: byte semantics against FileBackend (the
 // reference), O_DIRECT staging, fixed-buffer registration, keep/truncate
-// discipline, the double-open guard, and the runtime-fallback factory.
+// discipline, the double-open guard, the runtime-fallback factory, and the
+// wave path: how a drive worker batches its queued transfers and how a
+// ring runs a batch.
 //
 // Every test that needs a live ring begins with a uring_supported() probe
 // and GTEST_SKIPs when the kernel (or a seccomp filter) says no — the
 // ctest label `uring` marks the suite so CI can surface skip counts.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <mutex>
 #include <random>
 #include <vector>
 
@@ -415,6 +421,348 @@ TEST(UringBackend, DiskArrayOnUringEngine) {
   EXPECT_GE(u.sqes, 2 * kD);
   EXPECT_GE(u.enters, 2 * kD);
   EXPECT_FALSE(u.completion_ns.empty());
+}
+
+// --- The wave path ---------------------------------------------------------
+
+/// A natively batching backend over memory that logs every call as the
+/// tracks it touched, and holds its first call until release() — so a test
+/// can queue transfers behind a busy worker and know exactly what the
+/// worker finds in its queue.
+class WaveLog final : public Backend {
+ public:
+  struct Call {
+    bool is_read;
+    std::vector<std::uint64_t> tracks;
+    bool operator==(const Call&) const = default;
+  };
+
+  WaveLog(std::size_t block, std::size_t capacity)
+      : block_(block), capacity_(capacity) {}
+
+  void read(std::uint64_t offset, std::span<std::byte> dst) override {
+    read_vec(offset, {&dst, 1});
+  }
+  void write(std::uint64_t offset, std::span<const std::byte> src) override {
+    write_vec(offset, {&src, 1});
+  }
+  void read_vec(std::uint64_t offset,
+                std::span<const std::span<std::byte>> dsts) override {
+    const BatchIo io{offset, dsts, {}};
+    transfer_batch(true, {&io, 1});
+  }
+  void write_vec(std::uint64_t offset,
+                 std::span<const std::span<const std::byte>> srcs) override {
+    const BatchIo io{offset, {}, srcs};
+    transfer_batch(false, {&io, 1});
+  }
+  [[nodiscard]] std::size_t batch_capacity() const override {
+    return capacity_;
+  }
+  void transfer_batch(bool is_read, std::span<const BatchIo> ios) override {
+    Call call{is_read, {}};
+    for (const BatchIo& io : ios) {
+      const std::size_t n = is_read ? io.dsts.size() : io.srcs.size();
+      for (std::size_t k = 0; k < n; ++k) {
+        call.tracks.push_back(io.offset / block_ + k);
+      }
+      if (is_read) {
+        mem_.read_vec(io.offset, io.dsts);
+      } else {
+        mem_.write_vec(io.offset, io.srcs);
+      }
+    }
+    std::unique_lock<std::mutex> lock(m_);
+    calls_.push_back(std::move(call));
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+  }
+  [[nodiscard]] std::uint64_t size() const override { return mem_.size(); }
+
+  /// Block until the first call is in progress.
+  void await_first_call() {
+    std::unique_lock<std::mutex> lock(m_);
+    cv_.wait(lock, [&] { return !calls_.empty(); });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(m_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  [[nodiscard]] std::vector<Call> calls() {
+    std::lock_guard<std::mutex> lock(m_);
+    return calls_;
+  }
+
+ private:
+  std::size_t block_;
+  std::size_t capacity_;
+  MemoryBackend mem_;
+  std::mutex m_;
+  std::condition_variable cv_;
+  std::vector<Call> calls_;  ///< guarded by m_
+  bool released_ = false;    ///< guarded by m_
+};
+
+TEST(WavePath, WavesSplitAtOverlapDirectionAndCapacity) {
+  // Runs everywhere: the worker's wave rule does not depend on io_uring.
+  constexpr std::size_t kB = 64;
+  WaveLog* log = nullptr;
+  DiskArrayOptions opt;
+  opt.coalesce = false;
+  auto disks = make_disk_array(
+      IoEngine::parallel, 1, kB,
+      [&](std::size_t) {
+        auto b = std::make_unique<WaveLog>(kB, /*capacity=*/3);
+        log = b.get();
+        return b;
+      },
+      0, opt);
+  std::vector<std::vector<std::byte>> data;
+  for (std::uint32_t i = 0; i < 10; ++i) data.push_back(pattern(kB, 300 + i));
+  const auto write = [&](std::uint64_t track, std::size_t d) {
+    const WriteOp op{0, track, data[d]};
+    return disks->submit_write({&op, 1});
+  };
+  write(100, 0);  // the worker takes this alone and blocks in it
+  log->await_first_call();
+  write(0, 1);
+  write(1, 2);
+  write(0, 3);  // overlaps track 0 of the wave: starts the next one
+  write(2, 4);
+  std::vector<std::byte> out0(kB), out1(kB);
+  const ReadOp reads[] = {{0, 0, out0}, {0, 1, out1}};
+  disks->submit_read_batch(reads, 2);  // a change of direction
+  for (std::uint64_t t = 3; t < 8; ++t) write(t, t + 2);  // capacity 3
+  log->release();
+  disks->wait_all();
+
+  using Call = WaveLog::Call;
+  const std::vector<Call> want = {
+      {false, {100}},   {false, {0, 1}},  {false, {0, 2}},
+      {true, {0, 1}},   {false, {3, 4, 5}}, {false, {6, 7}}};
+  EXPECT_EQ(log->calls(), want);
+  EXPECT_EQ(out0, data[3]);  // the later write to track 0 landed last
+  EXPECT_EQ(out1, data[2]);
+  EXPECT_EQ(disks->disk(0).writes(), 10u);
+  EXPECT_EQ(disks->disk(0).reads(), 2u);
+  EXPECT_EQ(disks->stats().parallel_ios, 12u);
+}
+
+/// A drive array of one UringBackend scratch file.
+std::unique_ptr<DiskArray> uring_drive(std::size_t block, bool direct,
+                                       const std::string& tag) {
+  UringConfig cfg;
+  cfg.direct = direct;
+  DiskArrayOptions opt;
+  opt.coalesce = false;  // one transfer per track: waves, not runs
+  return make_disk_array(IoEngine::uring, 1, block,
+                         make_uring_scratch_factory("", tag, cfg), 0, opt);
+}
+
+std::uint64_t ring_enters(DiskArray& disks) {
+  disks.harvest_backend_stats();
+  return disks.engine_stats().uring.enters;
+}
+
+TEST(WavePath, WritesToOneTrackLandInFifoOrder) {
+  SKIP_WITHOUT_URING();
+  for (const bool direct : {false, true}) {
+    for (const bool aligned : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "direct " << direct << ", aligned " << aligned);
+      auto disks = uring_drive(kTrack, direct, "fifo");
+      // Four tracks of payload; an aligned one for O_DIRECT to take as-is,
+      // or one 8 bytes past a page boundary, which it must bounce.
+      std::vector<std::byte> store;
+      auto bufs = misaligned_run<std::span<std::byte>>(store, 4, kTrack);
+      std::vector<std::byte> page_store;
+      std::vector<std::span<std::byte>> page_bufs;
+      if (aligned) {
+        page_store.resize(5 * kTrack);
+        const auto addr = reinterpret_cast<std::uintptr_t>(page_store.data());
+        std::byte* p = page_store.data() + (kTrack - addr % kTrack) % kTrack;
+        for (std::size_t i = 0; i < 4; ++i) {
+          page_bufs.emplace_back(p + i * kTrack, kTrack);
+        }
+        bufs = page_bufs;
+      }
+      for (std::size_t i = 0; i < 4; ++i) {
+        const auto d = pattern(kTrack, 400 + i);
+        std::memcpy(bufs[i].data(), d.data(), kTrack);
+      }
+      // One operation, queued in one critical section: tracks 0, 1, 0, 1.
+      const WriteOp ops[] = {
+          {0, 0, bufs[0]}, {0, 1, bufs[1]}, {0, 0, bufs[2]}, {0, 1, bufs[3]}};
+      const auto before = ring_enters(*disks);
+      disks->parallel_write_batch(ops, 4);
+      // The second pair overlaps the first: two waves, in order.
+      EXPECT_GE(ring_enters(*disks) - before, 2u);
+      std::vector<std::byte> out(2 * kTrack);
+      const ReadOp reads[] = {
+          {0, 0, std::span(out).first(kTrack)},
+          {0, 1, std::span(out).subspan(kTrack)}};
+      disks->parallel_read_batch(reads, 2);
+      EXPECT_EQ(0, std::memcmp(out.data(), bufs[2].data(), kTrack));
+      EXPECT_EQ(0, std::memcmp(out.data() + kTrack, bufs[3].data(), kTrack));
+    }
+  }
+}
+
+std::vector<std::byte> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  std::vector<std::byte> out(raw.size());
+  std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
+}
+
+TEST(WavePath, BatchImagesMatchFileBackend) {
+  SKIP_WITHOUT_URING();
+  const auto upath = temp_path("embsp_wave_image_u.bin");
+  const auto fpath = temp_path("embsp_wave_image_f.bin");
+  std::filesystem::remove(upath);
+  std::filesystem::remove(fpath);
+  std::vector<std::byte> reads_u, reads_f;
+  {
+    UringConfig cfg;
+    cfg.direct = true;
+    UringBackend u(upath, /*keep=*/true, cfg);
+    FileBackend f(fpath, /*keep=*/true);
+    // Transfers of one batch, pairwise disjoint: an aligned track (straight
+    // into the wave), misaligned file-aligned runs (bounced through slices
+    // of the staging), and unaligned offsets and lengths, two of which
+    // share an alignment unit (read-modify-write, one at a time).
+    std::vector<std::byte> page_store(2 * kTrack);
+    const auto addr = reinterpret_cast<std::uintptr_t>(page_store.data());
+    std::span<std::byte> page(
+        page_store.data() + (kTrack - addr % kTrack) % kTrack, kTrack);
+    std::vector<std::byte> store;
+    auto run = misaligned_run<std::span<std::byte>>(store, 3, kTrack);
+    std::vector<std::byte> a(512), b(700), c(512);
+    std::mt19937 g(11);
+    for (auto* buf : {&a, &b, &c}) {
+      for (auto& x : *buf) x = static_cast<std::byte>(g() & 0xFF);
+    }
+    for (auto& x : page) x = static_cast<std::byte>(g() & 0xFF);
+    for (auto& r : run) {
+      for (auto& x : r) x = static_cast<std::byte>(g() & 0xFF);
+    }
+    const std::span<const std::byte> straight[] = {page};
+    const std::span<const std::byte> bounced2[] = {run[0], run[1]};
+    const std::span<const std::byte> bounced1[] = {run[2]};
+    const std::span<const std::byte> rmw_a[] = {a};
+    const std::span<const std::byte> rmw_b[] = {b};
+    const std::span<const std::byte> rmw_c[] = {c};
+    const BatchIo writes[] = {
+        {5 * kTrack, {}, straight},      {0, {}, bounced2},
+        {16 * kTrack + 100, {}, rmw_a},  {9 * kTrack, {}, bounced1},
+        {16 * kTrack + 612, {}, rmw_b},  {30 * kTrack + 7, {}, rmw_c}};
+    for (Backend* be : {static_cast<Backend*>(&u), static_cast<Backend*>(&f)}) {
+      be->transfer_batch(/*is_read=*/false, writes);
+    }
+    EXPECT_EQ(u.size(), f.size());
+    // Read the same shapes back, plus a read past the end of the file.
+    for (auto [be, sink] : {std::pair{static_cast<Backend*>(&u), &reads_u},
+                            std::pair{static_cast<Backend*>(&f), &reads_f}}) {
+      std::vector<std::byte> rstore;
+      auto rrun = misaligned_run<std::span<std::byte>>(rstore, 4, kTrack);
+      std::vector<std::byte> ra(512), rb(700), rc(600);
+      const std::span<std::byte> d_straight[] = {page};
+      const std::span<std::byte> d_bounced2[] = {rrun[0], rrun[1]};
+      const std::span<std::byte> d_bounced1[] = {rrun[2]};
+      const std::span<std::byte> d_past_end[] = {rrun[3]};
+      const std::span<std::byte> d_a[] = {ra};
+      const std::span<std::byte> d_b[] = {rb};
+      const std::span<std::byte> d_c[] = {rc};
+      std::fill(page.begin(), page.end(), std::byte{0xEE});
+      const BatchIo rios[] = {
+          {5 * kTrack, d_straight, {}},     {0, d_bounced2, {}},
+          {16 * kTrack + 100, d_a, {}},     {9 * kTrack, d_bounced1, {}},
+          {16 * kTrack + 612, d_b, {}},     {30 * kTrack + 7, d_c, {}},
+          {64 * kTrack, d_past_end, {}}};
+      be->transfer_batch(/*is_read=*/true, rios);
+      for (const auto& io : rios) {
+        for (const auto& d : io.dsts) {
+          sink->insert(sink->end(), d.begin(), d.end());
+        }
+      }
+    }
+    if (u.direct_io()) {
+      EXPECT_GT(u.uring_stats().bounced_bytes, 0u);
+    }
+  }
+  EXPECT_EQ(reads_u, reads_f);
+  const auto image_u = file_bytes(upath);
+  EXPECT_FALSE(image_u.empty());
+  EXPECT_EQ(image_u, file_bytes(fpath));
+  std::filesystem::remove(upath);
+  std::filesystem::remove(fpath);
+}
+
+TEST(WavePath, BouncedBytesPerWaveStayWithinStaging) {
+  SKIP_WITHOUT_URING();
+  UringConfig cfg;
+  cfg.direct = true;
+  UringBackend u(temp_path("embsp_wave_staging.bin"), false, cfg);
+  if (!u.direct_io()) GTEST_SKIP() << "filesystem refuses O_DIRECT";
+  // Eight misaligned 256 KiB transfers: 2 MiB of bounces, twice the
+  // staging, so the batch needs at least two waves each way.
+  constexpr std::size_t kN = 8, kLen = 64 * kTrack;
+  const auto data = pattern(kN * kLen, 500);
+  std::vector<std::byte> store;
+  auto srcs = misaligned_run<std::span<const std::byte>>(store, kN, kLen);
+  std::vector<BatchIo> ios;
+  for (std::size_t i = 0; i < kN; ++i) {
+    std::memcpy(const_cast<std::byte*>(srcs[i].data()), data.data() + i * kLen,
+                kLen);
+    // Every other slot, so no two transfers are file-contiguous.
+    ios.push_back({2 * i * kLen, {}, std::span(srcs).subspan(i, 1)});
+  }
+  const auto stats0 = u.uring_stats();
+  u.transfer_batch(/*is_read=*/false, ios);
+  const auto stats1 = u.uring_stats();
+  EXPECT_GE(stats1.enters - stats0.enters, (kN * kLen) / kStaging);
+  EXPECT_EQ(stats1.bounced_bytes - stats0.bounced_bytes, kN * kLen);
+
+  std::vector<std::byte> rstore;
+  auto dsts = misaligned_run<std::span<std::byte>>(rstore, kN, kLen);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ios[i] = {2 * i * kLen, std::span(dsts).subspan(i, 1), {}};
+  }
+  u.transfer_batch(/*is_read=*/true, ios);
+  const auto stats2 = u.uring_stats();
+  EXPECT_GE(stats2.enters - stats1.enters, (kN * kLen) / kStaging);
+  EXPECT_EQ(stats2.bounced_bytes - stats1.bounced_bytes, kN * kLen);
+  for (std::size_t i = 0; i < kN; ++i) {
+    ASSERT_EQ(0, std::memcmp(dsts[i].data(), data.data() + i * kLen, kLen))
+        << "transfer " << i;
+  }
+}
+
+TEST(WavePath, QueuedReadBatchCostsFewerEntersThanTransfers) {
+  SKIP_WITHOUT_URING();
+  auto disks = uring_drive(kTrack, /*direct=*/false, "enters");
+  constexpr std::uint32_t kN = 31;
+  std::vector<std::vector<std::byte>> blocks, outs;
+  std::vector<WriteOp> writes;
+  std::vector<ReadOp> reads;
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    blocks.push_back(pattern(kTrack, 600 + i));
+    outs.emplace_back(kTrack);
+  }
+  for (std::uint32_t i = 0; i < kN; ++i) {
+    writes.push_back({0, i, blocks[i]});
+    reads.push_back({0, i, outs[i]});
+  }
+  disks->parallel_write_batch(writes, kN);
+  const auto before = ring_enters(*disks);
+  disks->parallel_read_batch(reads, kN);
+  EXPECT_LT(ring_enters(*disks) - before, kN);
+  EXPECT_EQ(outs, blocks);
+  EXPECT_EQ(disks->disk(0).reads(), kN);
+  EXPECT_EQ(disks->engine_stats().per_disk[0].ops, 2u * kN);
 }
 
 }  // namespace
