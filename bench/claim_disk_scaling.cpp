@@ -133,9 +133,6 @@ int main() {
   using namespace embsp::bench;
   banner("C-D", "disk scaling: I/O time vs number of disks");
 
-  struct KeyLess {
-    bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-  };
   const std::uint64_t n = 1 << 16;
   auto keys = util::random_keys(n, 5);
 
@@ -146,7 +143,8 @@ int main() {
   bool ok = true;
   for (std::size_t D : {1u, 2u, 4u, 8u, 16u}) {
     cgm::SeqEmExec exec(machine(1, D, 512, 1 << 20));
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, 64);
     const auto ios = out.exec.sim->total_io.parallel_ios;
     if (D == 1) base = ios;
     const double speedup = static_cast<double>(base) / ios;
@@ -159,7 +157,8 @@ int main() {
     pcfg.pipeline = true;
     pcfg.io_engine = em::IoEngine::parallel;
     cgm::SeqEmExec pexec(pcfg);
-    auto pout = cgm::cgm_sort<std::uint64_t, KeyLess>(pexec, keys, 64);
+    auto pout = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        pexec, keys, 64);
     const auto pios = pout.exec.sim->total_io.parallel_ios;
     ok = ok && pios == ios && pout.sorted == out.sorted;
     table.add_row({std::to_string(D), util::fmt_count(ios),

@@ -24,9 +24,6 @@ int main() {
   using namespace embsp::bench;
   banner("C-K", "group size k: memory utilization vs I/O");
 
-  struct KeyLess {
-    bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-  };
   const std::uint64_t n = 1 << 15;
   auto keys = util::random_keys(n, 11);
   constexpr std::uint32_t kV = 64;
@@ -34,7 +31,8 @@ int main() {
 
   auto run_sort = [&](sim::SimConfig cfg) {
     cgm::SeqEmExec exec(cfg);
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, kV);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, kV);
     return *out.exec.sim;
   };
 

@@ -16,9 +16,6 @@ int main() {
   using namespace embsp::bench;
   banner("C-P", "processor scaling: per-processor I/O vs p");
 
-  struct KeyLess {
-    bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-  };
   const std::uint64_t n = 1 << 16;
   auto keys = util::random_keys(n, 8);
   auto [succ, head] = util::random_list(1 << 14, 9);
@@ -34,7 +31,8 @@ int main() {
       std::uint64_t ios = 0;
       std::uint64_t comm = 0;
       if (std::string(workload) == "sort") {
-        auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+        auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+            exec, keys, 64);
         for (const auto& io : out.exec.sim->per_proc_io) {
           ios = std::max(ios, io.parallel_ios);
         }

@@ -27,10 +27,6 @@
 
 namespace {
 
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-
 std::string fresh_dir(const std::string& tag) {
   const auto dir = std::filesystem::temp_directory_path() /
                    ("embsp_bench_crash_" + tag);
@@ -53,7 +49,8 @@ int main() {
   // every resumed run must reproduce.  Also sizes the crash sweep — scripted
   // crash points are per-disk call numbers, approximated as total/D.
   cgm::SeqEmExec base_exec(base_cfg);
-  auto base = cgm::cgm_sort<std::uint64_t, KeyLess>(base_exec, keys, 64);
+  auto base = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+      base_exec, keys, 64);
   const auto& base_sim = *base.exec.sim;
   const std::uint64_t disk0_calls =
       (base_sim.total_io.blocks_read + base_sim.total_io.blocks_written) /
@@ -82,7 +79,7 @@ int main() {
       doomed.faults.scripted.push_back({em::FaultKind::crash, 0u, crash_call});
       try {
         cgm::SeqEmExec exec(doomed);
-        cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+        cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(exec, keys, 64);
       } catch (...) {
       }
       std::_Exit(0);  // reached only if the crash point never fired
@@ -101,7 +98,8 @@ int main() {
     resumed_cfg.checkpoint.dir = dir;
     resumed_cfg.checkpoint.resume = true;
     cgm::SeqEmExec exec(resumed_cfg);
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, 64);
     const auto& sim = *out.exec.sim;
     const bool identical = out.sorted == base.sorted;
     const bool same_cost =

@@ -20,14 +20,6 @@
 #include "cgm/sort.hpp"
 #include "util/workloads.hpp"
 
-namespace {
-
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-
-}  // namespace
-
 int main() {
   using namespace embsp;
   using namespace embsp::bench;
@@ -56,7 +48,8 @@ int main() {
     }
     const auto start = std::chrono::steady_clock::now();
     cgm::SeqEmExec exec(cfg);
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, 64);
     const double secs =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -17,9 +17,6 @@ int main() {
   using namespace embsp::bench;
   banner("O2", "c-optimality: overhead ratios shrink with n");
 
-  struct KeyLess {
-    bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-  };
   constexpr std::uint32_t kV = 32;
 
   util::Table table({"n", "charged comp ops", "comm bytes", "IO blocks",
@@ -29,7 +26,8 @@ int main() {
   for (std::uint64_t n : {1u << 12, 1u << 14, 1u << 16, 1u << 18}) {
     auto keys = util::random_keys(n, n ^ 0xbeef);
     cgm::SeqEmExec exec(machine(1, 4, 512, 1 << 22));
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, kV);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, kV);
     std::uint64_t comp = 0;
     for (const auto& s : out.exec.costs.supersteps) comp += s.total_work;
     const std::uint64_t comm = out.exec.costs.total_bytes();

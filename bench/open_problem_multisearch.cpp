@@ -137,10 +137,6 @@ struct MultisearchProgram {
   }
 };
 
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-
 }  // namespace
 
 int main() {
@@ -154,7 +150,8 @@ int main() {
   {
     auto keys = util::random_keys(n, 3);
     cgm::SeqEmExec exec(machine(1, 4, 512, 1 << 22));
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, kV);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, kV);
     std::uint64_t comp = 0;
     for (const auto& s : out.exec.costs.supersteps) comp += s.total_work;
     sort_ratio = static_cast<double>(out.exec.sim->total_io.parallel_ios) /

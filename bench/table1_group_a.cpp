@@ -24,10 +24,6 @@ namespace {
 using namespace embsp;
 using namespace embsp::bench;
 
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-
 constexpr std::size_t kD = 4;
 constexpr std::size_t kB = 512;   // 64 keys per block
 constexpr std::size_t kM = 1 << 16;  // 8K keys of internal memory
@@ -58,11 +54,13 @@ void bench_sort() {
         baseline::em_sort_predicted_ios(n, kM, kD, kB);
 
     cgm::SeqEmExec seq_exec(machine(1, kD, kB, kM * 8));
-    auto out1 = cgm::cgm_sort<std::uint64_t, KeyLess>(seq_exec, keys, kV);
+    auto out1 = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        seq_exec, keys, kV);
     const auto cgm1 = algorithm_ios(*out1.exec.sim);
 
     cgm::ParEmExec par_exec(machine(kP, kD, kB, kM * 8));
-    auto out4 = cgm::cgm_sort<std::uint64_t, KeyLess>(par_exec, keys, kV);
+    auto out4 = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        par_exec, keys, kV);
     std::uint64_t cgm4 = 0;
     for (const auto& io : out4.exec.sim->per_proc_io) {
       cgm4 = std::max(cgm4, io.parallel_ios);

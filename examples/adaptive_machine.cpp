@@ -17,12 +17,6 @@
 
 using namespace embsp;
 
-namespace {
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-}  // namespace
-
 int main() {
   const std::uint64_t n = 1 << 16;
   auto keys = util::random_keys(n, 2026);
@@ -50,7 +44,8 @@ int main() {
     cfg.machine.p = c.p;
     cfg.machine.em = {c.M, c.D, c.B, 1.0};
     cgm::ParEmExec exec(cfg);
-    auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, 64);
+    auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+        exec, keys, 64);
     std::uint64_t ios = 0;
     double util_sum = 0;
     for (const auto& io : out.exec.sim->per_proc_io) {

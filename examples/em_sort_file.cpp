@@ -15,12 +15,6 @@
 
 using namespace embsp;
 
-namespace {
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-}  // namespace
-
 int main(int argc, char** argv) {
   const std::uint64_t n = argc > 1 ? std::strtoull(argv[1], nullptr, 10)
                                    : (1ull << 18);
@@ -46,8 +40,9 @@ int main(int argc, char** argv) {
   // Configure mu/gamma with a dry run, then build the simulator with the
   // file backends (what cgm::SeqEmExec does internally, spelled out here
   // because of the custom backend).
-  cgm::SortProgram<std::uint64_t, KeyLess> prog;
-  using State = cgm::SortProgram<std::uint64_t, KeyLess>::State;
+  using Program = cgm::SortProgram<std::uint64_t, std::less<std::uint64_t>>;
+  using State = Program::State;
+  Program prog;
   cgm::BlockDist dist{n, cfg.machine.bsp.v};
   auto make_state = [&](std::uint32_t pid) {
     State s;
@@ -60,7 +55,7 @@ int main(int argc, char** argv) {
   sim::SeqSimulator simulator(cfg, backend);
 
   std::vector<std::uint64_t> sorted;
-  auto result = simulator.run<cgm::SortProgram<std::uint64_t, KeyLess>>(
+  auto result = simulator.run<Program>(
       prog, make_state, [&](std::uint32_t, State& s) {
         sorted.insert(sorted.end(), s.data.begin(), s.data.end());
       });

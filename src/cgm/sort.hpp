@@ -12,17 +12,69 @@
 // more than ~2n/v records.
 //
 // SortEngine is the embeddable state machine; several Group B/C algorithms
-// run it as a sub-phase of their own superstep programs.
+// run it as a sub-phase of their own superstep programs.  Its local sorts
+// (supersteps 0 and 1) use an LSD radix sort when the records are unsigned
+// integers under std::less; every other (Rec, Less) pair keeps
+// std::stable_sort.  Unsigned integers have exactly one ascending order, so
+// results and charged costs do not depend on which sort ran.
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <functional>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "bsp/program.hpp"
 #include "cgm/runner.hpp"
 
 namespace embsp::cgm {
+
+/// Stable LSD radix sort of unsigned integers into ascending order, one
+/// 8-bit digit per pass.  One counting pass fills every digit's histogram;
+/// each pass then scatters between `keys` and one temporary of keys.size()
+/// records.  A digit that is the same for every key would scatter in place,
+/// so its pass is skipped.
+template <typename U>
+  requires(std::is_unsigned_v<U> && !std::is_same_v<U, bool>)
+void radix_sort(std::span<U> keys) {
+  constexpr std::size_t kDigits = sizeof(U);
+  const std::size_t n = keys.size();
+  if (n < 2) return;
+  auto digit = [](U key, std::size_t d) -> std::size_t {
+    return static_cast<std::size_t>(key >> (8 * d)) & 0xFF;
+  };
+  std::array<std::array<std::size_t, 256>, kDigits> counts{};
+  for (const U key : keys) {
+    for (std::size_t d = 0; d < kDigits; ++d) ++counts[d][digit(key, d)];
+  }
+  auto tmp = std::make_unique_for_overwrite<U[]>(n);
+  U* src = keys.data();
+  U* dst = tmp.get();
+  for (std::size_t d = 0; d < kDigits; ++d) {
+    if (counts[d][digit(src[0], d)] == n) continue;
+    std::array<std::size_t, 256> next{};
+    std::size_t sum = 0;
+    for (std::size_t b = 0; b < 256; ++b) {
+      next[b] = sum;
+      sum += counts[d][b];
+    }
+    for (std::size_t i = 0; i < n; ++i) dst[next[digit(src[i], d)]++] = src[i];
+    std::swap(src, dst);
+  }
+  if (src != keys.data()) std::memcpy(keys.data(), src, n * sizeof(U));
+}
+
+/// True when SortEngine<Rec, Less> sorts locally with radix_sort: unsigned
+/// integer records under their natural order.
+template <typename Rec, typename Less>
+inline constexpr bool kRadixSorted =
+    std::is_unsigned_v<Rec> && !std::is_same_v<Rec, bool> &&
+    (std::is_same_v<Less, std::less<Rec>> ||
+     std::is_same_v<Less, std::less<>>);
 
 template <typename Rec, typename Less>
 struct SortEngine {
@@ -38,7 +90,7 @@ struct SortEngine {
     const std::uint32_t v = env.nprocs;
     switch (local_step) {
       case 0: {
-        std::stable_sort(data.begin(), data.end(), less);
+        local_sort(data, less);
         env.charge(data.size() ? data.size() * 8 : 1);
         std::vector<Rec> samples;
         samples.reserve(v);
@@ -55,7 +107,7 @@ struct SortEngine {
             auto part = in.vector<Rec>(i);
             samples.insert(samples.end(), part.begin(), part.end());
           }
-          std::stable_sort(samples.begin(), samples.end(), less);
+          local_sort(samples, less);
           env.charge(samples.size() * 8 + 1);
           std::vector<Rec> splitters;
           if (!samples.empty()) {
@@ -118,6 +170,15 @@ struct SortEngine {
       }
       default:
         break;
+    }
+  }
+
+ private:
+  static void local_sort(std::vector<Rec>& records, Less less) {
+    if constexpr (kRadixSorted<Rec, Less>) {
+      radix_sort(std::span<Rec>(records));
+    } else {
+      std::stable_sort(records.begin(), records.end(), less);
     }
   }
 };

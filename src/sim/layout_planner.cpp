@@ -124,10 +124,6 @@ SimLayout LayoutPlanner::flat(const SimConfig& cfg, std::uint32_t local_v) {
   return make_layout(cfg, local_v, core, k);
 }
 
-SimLayout SimLayout::compute(const SimConfig& cfg, std::uint32_t local_v) {
-  return LayoutPlanner::flat(cfg, local_v);
-}
-
 LayoutPlan LayoutPlanner::plan(const SimConfig& cfg, std::uint32_t local_v) {
   const auto& em = cfg.machine.em;
   const LayoutCore core = validate_core(cfg, local_v);

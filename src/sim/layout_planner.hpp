@@ -56,12 +56,6 @@ struct SimLayout {
   /// What M leaves after the resident context groups — the staging budget
   /// offered to RoutingMode::automatic's in-memory fast path.
   std::uint64_t routing_mem_budget = 0;
-
-  /// Computes the flat layout for `local_v` virtual processors on one real
-  /// processor.  Throws LayoutError if the config violates the model
-  /// (k*slot > M, slot > M, local_v == 0) and std::invalid_argument when
-  /// mu/gamma/B are unset or malformed.
-  static SimLayout compute(const SimConfig& cfg, std::uint32_t local_v);
 };
 
 /// One level of the group tree.  Level 0 is the leaf level (what the
@@ -73,7 +67,7 @@ struct GroupLevel {
 };
 
 struct LayoutPlan {
-  /// Leaf-level layout — identical to SimLayout::compute whenever a flat
+  /// Leaf-level layout — identical to LayoutPlanner::flat whenever a flat
   /// schedule is feasible (the parity contract the simulators rely on).
   SimLayout leaf;
   std::vector<GroupLevel> levels;  ///< [0] = leaf; size() == 1 means flat
@@ -95,8 +89,10 @@ struct LayoutPlan {
 
 class LayoutPlanner {
  public:
-  /// The extracted flat computation (exactly what the three simulators
-  /// computed inline before the planner existed).
+  /// The flat layout for `local_v` virtual processors on one real
+  /// processor.  Throws LayoutError if the config violates the model
+  /// (k*slot > M, slot > M, local_v == 0) and std::invalid_argument when
+  /// mu/gamma/B are unset or malformed.
   static SimLayout flat(const SimConfig& cfg, std::uint32_t local_v);
 
   /// Group-tree planning: a flat single-level plan whenever the requested

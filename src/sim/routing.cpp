@@ -1,5 +1,6 @@
 #include "sim/routing.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -21,6 +22,13 @@ std::uint16_t get_u16(const std::byte* p) {
   std::uint16_t v;
   std::memcpy(&v, p, 2);
   return v;
+}
+
+[[noreturn]] void throw_overlap(const bsp::Message& m) {
+  throw em::CorruptBlockError(
+      "Reassembler: overlapping chunks in message (src " +
+      std::to_string(m.src) + ", dst " + std::to_string(m.dst) + ", seq " +
+      std::to_string(m.seq) + ")");
 }
 
 // Shared packing core.  `get(i)` yields anything with src/dst/seq fields
@@ -328,12 +336,20 @@ void Reassembler::absorb(std::span<const std::byte> block,
     }
     Partial* part = find_or_create(src, dst, seq, total);
     if (len > 0) {
+      // Every chunk lies inside [0, total), so more bytes than total means
+      // two chunks overlap: a block read twice, misdirected or replayed.
+      if (part->received + len > total) throw_overlap(part->msg);
       std::byte* dst_bytes = arena_ != nullptr
                                  ? part->buf.data()
                                  : part->msg.payload.data();
       std::memcpy(dst_bytes + offset, block.data() + pos, len);
+      if (offset == part->prefix) {
+        part->prefix += len;
+      } else {
+        part->spans.emplace_back(offset, std::uint64_t{offset} + len);
+      }
+      part->received += len;
     }
-    part->received += len;
     pos += len;
   }
 }
@@ -368,13 +384,22 @@ std::vector<bsp::MessageRef> Reassembler::take_refs() {
   return out;
 }
 
-void Reassembler::check_complete(const Partial& p) const {
+void Reassembler::check_complete(Partial& p) const {
   if (p.received != p.total(arena_ != nullptr)) {
     throw std::runtime_error(
         "Reassembler: incomplete message (src " + std::to_string(p.msg.src) +
         ", seq " + std::to_string(p.msg.seq) + "): got " +
         std::to_string(p.received) + " of " +
         std::to_string(p.total(arena_ != nullptr)) + " bytes");
+  }
+  // The chunks add up to the total; they tile [0, total) unless two of
+  // them overlap, in which case a duplicate stands in for a missing chunk
+  // and part of the payload was never written.
+  std::sort(p.spans.begin(), p.spans.end());
+  std::uint64_t covered = p.prefix;
+  for (const auto& [begin, end] : p.spans) {
+    if (begin < covered) throw_overlap(p.msg);
+    covered = end;
   }
 }
 

@@ -22,6 +22,7 @@
 #include <functional>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bsp/message.hpp"
@@ -148,7 +149,9 @@ class BlockBuilder {
 /// each chunk against the block span and the message's total length in
 /// 64-bit arithmetic and throws em::CorruptBlockError (retryable — a
 /// re-read may heal an in-flight flip) on any inconsistency, never reading
-/// or writing out of bounds.
+/// or writing out of bounds.  Chunks of one message that overlap (a block
+/// absorbed twice) are such an inconsistency too, so a message that
+/// take()/take_refs() hands out had every payload byte written by a chunk.
 class Reassembler {
  public:
   /// `max_message_bytes` caps any single message's claimed total_len; a
@@ -183,7 +186,12 @@ class Reassembler {
     bsp::Message msg;            ///< owning buffer (msg.payload) when
                                  ///< arena_ == nullptr
     std::span<std::byte> buf;    ///< arena buffer when arena_ != nullptr
-    std::uint64_t received = 0;
+    std::uint64_t received = 0;  ///< sum of the absorbed chunk lengths
+    /// Bytes [0, prefix) arrived as chunks in offset order; any other
+    /// chunk's [begin, end) waits in `spans` until check_complete proves
+    /// that no two chunks overlap.
+    std::uint64_t prefix = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
     [[nodiscard]] std::size_t total(bool arena_mode) const {
       return arena_mode ? buf.size() : msg.payload.size();
     }
@@ -215,7 +223,7 @@ class Reassembler {
   util::Arena* arena_ = nullptr;
   Partial* find_or_create(std::uint32_t src, std::uint32_t dst,
                           std::uint32_t seq, std::uint32_t total_len);
-  void check_complete(const Partial& p) const;
+  void check_complete(Partial& p) const;
 };
 
 /// Per-invocation statistics of SimulateRouting, used by bench/fig2_routing

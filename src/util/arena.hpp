@@ -63,7 +63,8 @@ class Arena {
     const std::size_t grown =
         chunks_.empty() ? chunk_bytes_ : chunks_.back().cap * 2;
     const std::size_t cap = need > grown ? need : grown;
-    chunks_.push_back(Chunk{std::make_unique<std::byte[]>(cap), cap, need});
+    chunks_.push_back(
+        Chunk{std::make_unique_for_overwrite<std::byte[]>(cap), cap, need});
     active_ = chunks_.size() - 1;
     return {chunks_.back().data.get(), n};
   }

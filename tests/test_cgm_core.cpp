@@ -4,9 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "cgm/permutation.hpp"
 #include "cgm/primitives.hpp"
@@ -15,6 +19,7 @@
 #include "sim/trace.hpp"
 
 #include <sstream>
+#include "util/rng.hpp"
 #include "util/workloads.hpp"
 
 namespace embsp::cgm {
@@ -86,6 +91,130 @@ TEST(CgmSort, RegularSamplingBalances) {
   for (auto sz : out.slab_sizes) {
     EXPECT_LT(sz, 2 * 4096 / 16 + 64);  // regular sampling bound ~2n/v
   }
+}
+
+// --- Radix path -------------------------------------------------------------
+// SortEngine sorts unsigned keys under std::less with radix_sort and every
+// other comparator with std::stable_sort; both must give the same records
+// and the same charged costs.
+
+template <typename U>
+class RadixSortTest : public ::testing::Test {};
+using RadixKeyTypes = ::testing::Types<std::uint8_t, std::uint16_t,
+                                       std::uint32_t, std::uint64_t>;
+TYPED_TEST_SUITE(RadixSortTest, RadixKeyTypes);
+
+TYPED_TEST(RadixSortTest, MatchesStableSort) {
+  using U = TypeParam;
+  constexpr unsigned kBits = 8 * sizeof(U);
+  const U low_byte = 0xFF;
+  const U high = static_cast<U>(~low_byte & static_cast<U>(0xA5A5A5A5A5A5A5A5));
+  for (const std::size_t n : {0, 1, 2, 255, 256, 4097}) {
+    util::Rng rng(n * 131 + sizeof(U));
+    std::vector<std::pair<std::string, std::vector<U>>> inputs;
+    std::vector<U> random(n), shared_high(n), inner(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      random[i] = static_cast<U>(rng.next());
+      // Only the lowest digit varies: every higher pass is skipped.
+      shared_high[i] = static_cast<U>(high | (random[i] & low_byte));
+      // Only the lowest and highest digits vary: the passes between them
+      // are skipped, the last one is not.
+      inner[i] = static_cast<U>(
+          (random[i] & low_byte) |
+          (static_cast<U>(rng.below(4)) << (kBits - 8)) | (high & ~low_byte));
+    }
+    // One key per digit differs from the rest in that digit alone: no digit
+    // is constant, but each is nearly so.
+    std::vector<U> outliers(n, high);
+    for (std::size_t d = 0; d < sizeof(U) && n > 0; ++d) {
+      outliers[(d * 7919 + n / 2) % n] ^= static_cast<U>(U{1} << (8 * d));
+    }
+    std::vector<U> sorted = random;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<U> reversed(sorted.rbegin(), sorted.rend());
+    inputs.emplace_back("random", random);
+    inputs.emplace_back("shared_high", shared_high);
+    inputs.emplace_back("inner", inner);
+    inputs.emplace_back("outliers", outliers);
+    inputs.emplace_back("all_equal", std::vector<U>(n, high));
+    inputs.emplace_back("sorted", sorted);
+    inputs.emplace_back("reversed", reversed);
+    for (auto& [name, keys] : inputs) {
+      auto want = keys;
+      std::stable_sort(want.begin(), want.end());
+      radix_sort(std::span<U>(keys));
+      EXPECT_EQ(keys, want) << name << " n=" << n;
+    }
+  }
+}
+
+template <typename T>
+std::vector<std::byte> raw_bytes(const T& value) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  std::vector<std::byte> out(sizeof(T));
+  std::memcpy(out.data(), &value, sizeof(T));
+  return out;
+}
+
+static_assert(kRadixSorted<std::uint64_t, std::less<std::uint64_t>>);
+static_assert(!kRadixSorted<std::uint64_t, KeyLess>);
+
+/// Sorts `keys` with std::less (radix path) and with KeyLess (comparison
+/// path) on fresh executors from `make_exec`; everything the run reports
+/// must agree.
+template <typename MakeExec>
+void expect_radix_parity(MakeExec make_exec,
+                         std::span<const std::uint64_t> keys, std::uint32_t v) {
+  SCOPED_TRACE("n=" + std::to_string(keys.size()) + " v=" + std::to_string(v));
+  auto radix_exec = make_exec();
+  auto cmp_exec = make_exec();
+  const auto radix =
+      cgm_sort<std::uint64_t, std::less<std::uint64_t>>(radix_exec, keys, v);
+  const auto cmp = cgm_sort<std::uint64_t, KeyLess>(cmp_exec, keys, v);
+  EXPECT_EQ(radix.sorted, cmp.sorted);
+  EXPECT_EQ(radix.slab_sizes, cmp.slab_sizes);
+  const auto& rs = radix.exec.costs.supersteps;
+  const auto& cs = cmp.exec.costs.supersteps;
+  ASSERT_EQ(rs.size(), cs.size());
+  for (std::size_t i = 0; i < rs.size(); ++i) {
+    EXPECT_EQ(raw_bytes(rs[i]), raw_bytes(cs[i])) << "superstep " << i;
+  }
+  ASSERT_EQ(radix.exec.sim.has_value(), cmp.exec.sim.has_value());
+  if (!radix.exec.sim) return;
+  EXPECT_EQ(raw_bytes(radix.exec.sim->total_io),
+            raw_bytes(cmp.exec.sim->total_io));
+  const auto& rp = radix.exec.sim->per_proc_io;
+  const auto& cp = cmp.exec.sim->per_proc_io;
+  ASSERT_EQ(rp.size(), cp.size());
+  for (std::size_t i = 0; i < rp.size(); ++i) {
+    EXPECT_EQ(raw_bytes(rp[i]), raw_bytes(cp[i])) << "processor " << i;
+  }
+}
+
+/// v runs over {p, 8, 64}: v = p is one virtual processor per real one.
+template <typename MakeExec>
+void radix_parity_sweep(MakeExec make_exec, std::uint32_t p) {
+  for (const std::size_t n : {0, 5, 4096, 100000}) {
+    const auto keys = util::random_keys(n, 31 + n);
+    for (const std::uint32_t v : {p, 8u, 64u}) {
+      expect_radix_parity(make_exec, keys, v);
+    }
+  }
+  std::vector<std::uint64_t> dup(300, 7);
+  for (std::size_t i = 0; i < dup.size(); i += 3) dup[i] = 3;
+  expect_radix_parity(make_exec, dup, 6);
+}
+
+TEST(CgmSort, RadixPathMatchesComparisonPathDirect) {
+  radix_parity_sweep([] { return DirectExec{}; }, 1);
+}
+
+TEST(CgmSort, RadixPathMatchesComparisonPathSeqEm) {
+  radix_parity_sweep([] { return SeqEmExec(em_config(1, 2, 512)); }, 1);
+}
+
+TEST(CgmSort, RadixPathMatchesComparisonPathParEm) {
+  radix_parity_sweep([] { return ParEmExec(em_config(2, 2, 512)); }, 2);
 }
 
 struct SortSweepParam {

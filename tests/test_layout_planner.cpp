@@ -35,7 +35,7 @@ SimConfig layout_config(std::uint32_t v, std::size_t D, std::size_t B,
 
 // --- parity with the pre-extraction arithmetic -------------------------------
 
-/// Independent copy of the SimLayout::compute arithmetic the three
+/// Independent copy of the LayoutPlanner::flat arithmetic the three
 /// simulators carried inline before the planner was extracted.  Kept
 /// deliberately verbatim (not calling any planner helper) so the parity
 /// test pins the extraction, not itself.
@@ -141,7 +141,7 @@ TEST(LayoutPlanner, SlotOverMIsTypedAcrossSimulators) {
   const auto sink = [](std::uint32_t, PrefixSumProgram::State&) {};
   PrefixSumProgram prog;
 
-  EXPECT_THROW(SimLayout::compute(cfg, 8), LayoutError);
+  EXPECT_THROW(LayoutPlanner::flat(cfg, 8), LayoutError);
   EXPECT_THROW(LayoutPlanner::plan(cfg, 8), LayoutError);
   try {
     LayoutPlanner::plan(cfg, 8);

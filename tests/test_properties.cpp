@@ -332,7 +332,7 @@ TEST(ModelDiscipline, LayoutKeepsGroupsAtLeastD) {
   cfg.machine.em = {1 << 22, 8, 512, 1.0};  // huge M: unconstrained k
   cfg.mu = 128;
   cfg.gamma = 4096;
-  const auto layout = SimLayout::compute(cfg, 64);
+  const auto layout = LayoutPlanner::flat(cfg, 64);
   EXPECT_GE(layout.num_groups, 8u);
 }
 
@@ -344,7 +344,7 @@ TEST(ModelDiscipline, ExplicitKRespected) {
   cfg.mu = 128;
   cfg.gamma = 4096;
   cfg.k = 5;
-  const auto layout = SimLayout::compute(cfg, 64);
+  const auto layout = LayoutPlanner::flat(cfg, 64);
   EXPECT_EQ(layout.k, 5u);
   EXPECT_EQ(layout.num_groups, 13u);  // ceil(64/5)
 }

@@ -10,6 +10,7 @@
 #include "sim/context_store.hpp"
 #include "sim/message_store.hpp"
 #include "sim/routing.hpp"
+#include "util/arena.hpp"
 #include "util/rng.hpp"
 
 namespace embsp::sim {
@@ -257,6 +258,39 @@ TEST(CorruptBlock, TotalLenMismatchAcrossChunksThrows) {
   Reassembler r;
   r.absorb(blocks[0], 0);
   EXPECT_THROW(r.absorb(blocks[1], 0), em::CorruptBlockError);
+}
+
+TEST(CorruptBlock, DuplicatedChunkIsNotTheMissingOne) {
+  // A 68-byte message packs into two 64-byte blocks of 34 payload bytes
+  // each.  A block absorbed twice (read twice, misdirected or replayed)
+  // brings the byte count to total_len while the other half of the payload
+  // was never written; reassembly must reject it, not hand it out.
+  auto m = make_msg(1, 2, 0, 68);
+  std::vector<const bsp::Message*> ptrs{&m};
+  std::vector<std::vector<std::byte>> blocks;
+  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+    blocks.emplace_back(b.begin(), b.end());
+  });
+  ASSERT_EQ(blocks.size(), 2u);
+  for (std::size_t dup = 0; dup < 2; ++dup) {
+    Reassembler owning;
+    owning.absorb(blocks[dup], 0);
+    owning.absorb(blocks[dup], 0);
+    EXPECT_THROW((void)owning.take(), em::CorruptBlockError) << dup;
+
+    util::Arena arena;
+    Reassembler zero_copy(0, &arena);
+    zero_copy.absorb(blocks[dup], 0);
+    zero_copy.absorb(blocks[dup], 0);
+    EXPECT_THROW((void)zero_copy.take_refs(), em::CorruptBlockError) << dup;
+  }
+  // Both halves in either order still reassemble.
+  Reassembler r;
+  r.absorb(blocks[1], 0);
+  r.absorb(blocks[0], 0);
+  auto got = r.take();
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].payload, m.payload);
 }
 
 TEST(CorruptBlock, OversizedTotalLenRejectedByLimit) {

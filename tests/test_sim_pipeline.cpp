@@ -499,9 +499,9 @@ TEST(SimPipeline, DoubleBufferingTightensLayoutBound) {
   const std::size_t slot = 2176;
   cfg.k = (cfg.machine.em.M / slot);  // fits once: k*slot <= M < 2*k*slot
   ASSERT_GT(cfg.k * slot * 2, cfg.machine.em.M);
-  EXPECT_NO_THROW(sim::SimLayout::compute(cfg, cfg.machine.bsp.v));
+  EXPECT_NO_THROW(sim::LayoutPlanner::flat(cfg, cfg.machine.bsp.v));
   cfg.pipeline = true;
-  EXPECT_THROW(sim::SimLayout::compute(cfg, cfg.machine.bsp.v),
+  EXPECT_THROW(sim::LayoutPlanner::flat(cfg, cfg.machine.bsp.v),
                sim::LayoutError);
 }
 

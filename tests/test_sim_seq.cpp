@@ -152,13 +152,13 @@ TEST(SimLayout, GroupContextsMustFitM) {
   cfg.gamma = 256;
 
   cfg.k = 8;  // 8 * 128 = 1024 == M: exactly at the bound, accepted
-  const auto layout = SimLayout::compute(cfg, 16);
+  const auto layout = LayoutPlanner::flat(cfg, 16);
   EXPECT_EQ(layout.k, 8u);
   EXPECT_EQ(layout.context_slot_bytes, 128u);
 
   cfg.k = 9;  // 9 * 128 = 1152 > M: one block over, rejected (typed —
               // callers can distinguish a layout bound from bad arguments)
-  EXPECT_THROW(SimLayout::compute(cfg, 16), LayoutError);
+  EXPECT_THROW(LayoutPlanner::flat(cfg, 16), LayoutError);
 }
 
 TEST(SeqSimulator, SingleDiskWorks) {

@@ -379,10 +379,6 @@ bool parse(int argc, char** argv, Options& opt) {
   return true;
 }
 
-struct KeyLess {
-  bool operator()(std::uint64_t a, std::uint64_t b) const { return a < b; }
-};
-
 // --- Output digest (--digest) ----------------------------------------------
 // A running hash over the workload's collected outputs plus the model costs.
 // Every folded quantity is deterministic for a fixed seed and config, so
@@ -716,7 +712,8 @@ int main(int argc, char** argv) {
     return run_workload(opt, [&](auto& exec, const Options& opt) -> int {
       if (opt.workload == "sort") {
         auto keys = util::random_keys(opt.n, opt.seed);
-        auto out = cgm::cgm_sort<std::uint64_t, KeyLess>(exec, keys, opt.v);
+        auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
+            exec, keys, opt.v);
         const bool ok = std::is_sorted(out.sorted.begin(), out.sorted.end());
         if (opt.digest) fold_digest_vec(out.sorted);
         report(opt, out.exec, ok ? "sorted" : "NOT SORTED");
