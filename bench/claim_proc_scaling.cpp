@@ -4,12 +4,25 @@
 // fixed) and reports the max-per-processor I/O (the model's t_IO) and the
 // per-superstep real communication volume.  Theorem 1 promises
 // ~O~(G (v/p) mu lambda / (BD)): per-processor I/O should drop ~1/p.
+#include <algorithm>
 #include <iostream>
 
 #include "bench_util.hpp"
 #include "cgm/graph_list_ranking.hpp"
 #include "cgm/sort.hpp"
 #include "util/workloads.hpp"
+
+namespace {
+
+/// The busiest processor's parallel I/Os.  A p = 1 run reports only
+/// total_io (its per_proc_io is empty), which is that processor's count.
+std::uint64_t max_proc_ios(const embsp::sim::SimResult& r) {
+  std::uint64_t ios = r.per_proc_io.empty() ? r.total_io.parallel_ios : 0;
+  for (const auto& io : r.per_proc_io) ios = std::max(ios, io.parallel_ios);
+  return ios;
+}
+
+}  // namespace
 
 int main() {
   using namespace embsp;
@@ -33,15 +46,11 @@ int main() {
       if (std::string(workload) == "sort") {
         auto out = cgm::cgm_sort<std::uint64_t, std::less<std::uint64_t>>(
             exec, keys, 64);
-        for (const auto& io : out.exec.sim->per_proc_io) {
-          ios = std::max(ios, io.parallel_ios);
-        }
+        ios = max_proc_ios(*out.exec.sim);
         comm = out.exec.sim->real_comm_bytes;
       } else {
         auto out = cgm::cgm_list_ranking(exec, succ, 64);
-        for (const auto& io : out.exec.sim->per_proc_io) {
-          ios = std::max(ios, io.parallel_ios);
-        }
+        ios = max_proc_ios(*out.exec.sim);
         comm = out.exec.sim->real_comm_bytes;
       }
       if (p == 1) base = ios;

@@ -3,11 +3,11 @@
 // experiment above is built from.
 //
 // A custom main() runs the google-benchmark suite, then takes a handful of
-// deterministic counted measurements — payload bytes copied on the owning
-// vs the arena/MessageRef message path, and backend calls (syscalls on
-// FileBackend) with track coalescing off vs on — and writes them to
-// BENCH_micro_substrate.json so the copy/syscall reductions are plottable
-// without scraping benchmark output.
+// measurements — the wall clock of one MessageRef pack/reassemble round
+// trip, backend calls (syscalls on FileBackend) with track coalescing off
+// vs on, and the I/O engine matrix — and writes them to
+// BENCH_micro_substrate.json so they are plottable without scraping
+// benchmark output.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -177,6 +177,13 @@ void BM_ContextSwap(benchmark::State& state) {
 }
 BENCHMARK(BM_ContextSwap);
 
+/// Views of `msgs`' payloads; `msgs` must outlive them.
+std::vector<bsp::MessageRef> refs_of(const std::vector<bsp::Message>& msgs) {
+  std::vector<bsp::MessageRef> refs;
+  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  return refs;
+}
+
 void BM_PackBlocks(benchmark::State& state) {
   std::vector<bsp::Message> msgs(64);
   for (std::uint32_t i = 0; i < msgs.size(); ++i) {
@@ -185,11 +192,10 @@ void BM_PackBlocks(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(100 + i);
   }
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
+  const auto refs = refs_of(msgs);
   for (auto _ : state) {
     std::size_t blocks = 0;
-    sim::pack_blocks(ptrs, 0, 1024,
+    sim::pack_blocks(refs, 0, 1024,
                      [&](std::span<const std::byte>) { ++blocks; });
     benchmark::DoNotOptimize(blocks);
   }
@@ -204,14 +210,14 @@ void BM_Reassemble(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(100 + i, std::byte{5});
   }
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
+  sim::pack_blocks(refs_of(msgs), 0, 1024, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
+  util::Arena arena;
   for (auto _ : state) {
-    sim::Reassembler r;
+    arena.reset();
+    sim::Reassembler r(arena);
     for (const auto& b : blocks) r.absorb(b, 0);
     auto out = r.take();
     benchmark::DoNotOptimize(out);
@@ -233,24 +239,25 @@ void BM_MessageStoreRoundTrip(benchmark::State& state) {
     msgs[i].seq = i;
     msgs[i].payload.resize(200, std::byte{6});
   }
+  const auto refs = refs_of(msgs);
+  util::Arena arena;
   for (auto _ : state) {
-    store.write_messages(msgs, [](std::uint32_t d) { return d / 2; }, rng);
+    store.write_messages(refs, [](std::uint32_t d) { return d / 2; }, rng);
     store.flush(rng);
     store.reorganize(rng);
+    arena.reset();
     for (std::uint32_t g = 0; g < 8; ++g) {
-      auto got = store.fetch_group(g);
+      auto got = store.fetch_group(g, arena);
       benchmark::DoNotOptimize(got);
     }
   }
 }
 BENCHMARK(BM_MessageStoreRoundTrip);
 
-// --- Copy-path microbenchmarks ----------------------------------------------
+// --- Message-path microbenchmark --------------------------------------------
 //
-// The same message set travels pack -> reassemble -> deliver on the two
-// payload representations.  The owning path materializes a std::vector per
-// message at both ends; the ref path bump-allocates from an arena and hands
-// out spans.
+// A message set travels pack -> reassemble -> deliver as MessageRefs: the
+// reassembler bump-allocates payloads from an arena and hands out spans.
 
 std::vector<bsp::Message> make_copy_path_messages(std::size_t n,
                                                   std::size_t payload) {
@@ -264,42 +271,20 @@ std::vector<bsp::Message> make_copy_path_messages(std::size_t n,
   return msgs;
 }
 
-void BM_MessagePathOwned(benchmark::State& state) {
-  const auto msgs = make_copy_path_messages(256, 512);
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
-  std::vector<std::vector<std::byte>> blocks;
-  for (auto _ : state) {
-    blocks.clear();
-    sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
-      blocks.emplace_back(b.begin(), b.end());
-    });
-    sim::Reassembler r;
-    for (const auto& b : blocks) r.absorb(b, 0);
-    auto out = r.take();
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
-                          512);
-}
-BENCHMARK(BM_MessagePathOwned);
-
 void BM_MessagePathRefs(benchmark::State& state) {
   const auto msgs = make_copy_path_messages(256, 512);
-  std::vector<bsp::MessageRef> refs;
-  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  const auto refs = refs_of(msgs);
   std::vector<std::vector<std::byte>> blocks;
   util::Arena arena;
   for (auto _ : state) {
     blocks.clear();
     arena.reset();
-    sim::pack_blocks(std::span<const bsp::MessageRef>(refs), 0, 1024,
-                     [&](std::span<const std::byte> b) {
-                       blocks.emplace_back(b.begin(), b.end());
-                     });
-    sim::Reassembler r(/*max_message_bytes=*/0, &arena);
+    sim::pack_blocks(refs, 0, 1024, [&](std::span<const std::byte> b) {
+      blocks.emplace_back(b.begin(), b.end());
+    });
+    sim::Reassembler r(arena);
     for (const auto& b : blocks) r.absorb(b, 0);
-    auto out = r.take_refs();
+    auto out = r.take();
     benchmark::DoNotOptimize(out);
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 256 *
@@ -398,53 +383,28 @@ double timed_ns(const std::function<void()>& fn, int reps) {
 void emit_artifact() {
   embsp::bench::JsonArtifact artifact("micro_substrate");
 
-  // Copy path: payload bytes copied per superstep handoff, and wall clock.
+  // Message path: wall clock of one pack -> reassemble round trip.
   {
     const auto msgs = make_copy_path_messages(256, 512);
-    std::vector<const bsp::Message*> ptrs;
-    std::vector<bsp::MessageRef> refs;
-    for (const auto& m : msgs) {
-      ptrs.push_back(&m);
-      refs.push_back({m.src, m.dst, m.seq, m.payload});
-    }
-    const double payload_bytes = 256.0 * 512.0;
+    const auto refs = refs_of(msgs);
     std::vector<std::vector<std::byte>> blocks;
-    const double owned_ns = timed_ns(
-        [&] {
-          blocks.clear();
-          sim::pack_blocks(ptrs, 0, 1024, [&](std::span<const std::byte> b) {
-            blocks.emplace_back(b.begin(), b.end());
-          });
-          sim::Reassembler r;
-          for (const auto& b : blocks) r.absorb(b, 0);
-          auto out = r.take();
-          benchmark::DoNotOptimize(out);
-        },
-        200);
     util::Arena arena;
     const double ref_ns = timed_ns(
         [&] {
           blocks.clear();
           arena.reset();
-          sim::pack_blocks(std::span<const bsp::MessageRef>(refs), 0, 1024,
-                           [&](std::span<const std::byte> b) {
-                             blocks.emplace_back(b.begin(), b.end());
-                           });
-          sim::Reassembler r(0, &arena);
+          sim::pack_blocks(refs, 0, 1024, [&](std::span<const std::byte> b) {
+            blocks.emplace_back(b.begin(), b.end());
+          });
+          sim::Reassembler r(arena);
           for (const auto& b : blocks) r.absorb(b, 0);
-          auto out = r.take_refs();
+          auto out = r.take();
           benchmark::DoNotOptimize(out);
         },
         200);
     artifact.begin_case("copy_path");
-    // take() copies every payload byte out of reassembly; take_refs() hands
-    // out arena spans and copies none.
-    artifact.metric("payload_bytes", payload_bytes);
-    artifact.metric("bytes_copied_owned", payload_bytes);
-    artifact.metric("bytes_copied_refs", 0.0);
-    artifact.metric("owned_ns", owned_ns);
+    artifact.metric("payload_bytes", 256.0 * 512.0);
     artifact.metric("refs_ns", ref_ns);
-    artifact.metric("speedup", owned_ns / ref_ns);
   }
 
   // Syscall count: the same batched 64-track-per-disk transfer schedule

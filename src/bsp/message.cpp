@@ -54,7 +54,6 @@ std::vector<Message> Outbox::take() {
   for (const MessageRef& m : messages_) {
     out.push_back(
         Message{m.src, m.dst, m.seq, {m.payload.begin(), m.payload.end()}});
-    bytes_copied_ += m.payload.size();
   }
   clear();
   return out;

@@ -8,14 +8,15 @@
 // transport differs.
 //
 // Two payload representations exist:
-//  * Message     — owns its payload bytes (std::vector).  The format the
-//    EM transports return from disk reassembly when a caller needs the
-//    bytes to outlive the transport's staging memory.
 //  * MessageRef  — a span view into arena-backed storage (util::Arena).
-//    The zero-copy path: an Outbox serializes payloads straight into its
-//    arena and hands out refs; the simulators route refs through packing
-//    and reassembly without intermediate vector copies.  A ref is valid
-//    for exactly one superstep handoff — until the owning arena resets.
+//    An Outbox serializes payloads straight into its arena and hands out
+//    refs; the EM simulators route refs through packing, the disks and
+//    reassembly into an inbox arena without intermediate vector copies.  A
+//    ref is valid for exactly one superstep handoff — until its arena
+//    resets.
+//  * Message     — owns its payload bytes (std::vector).  Only the in-RAM
+//    runtime (bsp::DirectRuntime) uses it: Outbox::take() hands its
+//    messages over to the next superstep's owning Inbox.
 #pragma once
 
 #include <cstdint>
@@ -87,8 +88,8 @@ class Inbox {
 
 /// Messages generated by one virtual processor in one superstep.  Payload
 /// bytes are serialized once, directly into the outbox's arena; messages()
-/// exposes them as refs (the zero-copy path), take() materializes owning
-/// copies for callers that need the payloads to outlive the outbox.
+/// exposes them as refs, take() materializes owning copies for callers that
+/// need the payloads to outlive the outbox.
 class Outbox {
  public:
   Outbox(std::uint32_t src, std::uint32_t nprocs);
@@ -120,17 +121,14 @@ class Outbox {
     return messages_;
   }
 
-  /// Compatibility: materialize owning Messages (copies every payload out
-  /// of the arena) and reset the outbox.  bytes_copied() counts the cost.
+  /// Materialize owning Messages (copies every payload out of the arena)
+  /// and reset the outbox.
   [[nodiscard]] std::vector<Message> take();
 
-  /// Drop all messages and recycle the arena (the zero-copy consumer calls
-  /// this after packing the refs).  Equivalent to a freshly built Outbox.
+  /// Drop all messages and recycle the arena (the ref consumer calls this
+  /// after packing the refs).  Equivalent to a freshly built Outbox.
   void clear();
 
-  /// Payload bytes copied by take() so far — the copy traffic the ref path
-  /// avoids (exported as part of "sim.bytes_copied").
-  [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
   /// Peak arena residency (feeds "sim.arena_bytes").
   [[nodiscard]] std::size_t arena_high_water() const {
     return arena_.high_water();
@@ -145,7 +143,6 @@ class Outbox {
   std::uint32_t nprocs_;
   std::uint32_t next_seq_ = 0;
   std::size_t total_bytes_ = 0;
-  std::uint64_t bytes_copied_ = 0;
   util::Arena arena_;
   std::vector<MessageRef> messages_;
 };

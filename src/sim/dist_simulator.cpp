@@ -28,7 +28,11 @@ DistSimulator::DistSimulator(
   em::DiskArrayOptions opts;
   opts.retry = cfg_.retry;
   opts.verify_checksums = cfg_.block_checksums;
-  opts.coalesce = cfg_.coalesce_io && !cfg_.faults.enabled();
+  // Runs of adjacent tracks go out as one vectored backend transfer, a
+  // purely physical change — except under fault injection, where retrying
+  // a coalesced run would replay backend calls for tracks that already
+  // succeeded and shift the deterministic fault schedule.
+  opts.coalesce = !cfg_.faults.enabled();
   auto global = em::wrap_with_faults(backend, cfg_.faults, cfg_.seed,
                                      fault_counters_);
   // Machine-wide drive indices (rank*D + d): the deterministic fault

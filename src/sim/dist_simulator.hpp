@@ -31,7 +31,7 @@
 // With p = 1 the forward and scatter steps vanish and what remains is
 // Algorithm 1 (§5.1): a lone rank reads each group's contexts and inbox
 // from its own disks, writes the generated messages straight into its
-// buckets (MessageStore::write_message_refs, ascending group order, a
+// buckets (MessageStore::write_messages, ascending group order, a
 // random disk permutation per write cycle) and writes the contexts back —
 // per disk, in that order.  It draws from util::Rng(seed) itself and sizes
 // its buckets without scatter slack.  Only a lone rank runs two-level
@@ -241,8 +241,7 @@ SimResult DistSimulator::run(
   struct Tally {
     std::uint64_t rr_scatter = 0;  ///< deterministic-mode scatter cursor
     std::uint64_t max_comm_bytes_step = 0;
-    std::uint64_t outbox_copied = 0;  ///< take() traffic (legacy path only)
-    std::uint64_t arena_peak = 0;     ///< peak arena residency
+    std::uint64_t arena_peak = 0;  ///< peak arena residency
     PhaseIo phase_io;
     RoutingStats routing;
     std::uint64_t io_retries = 0;
@@ -619,19 +618,15 @@ SimResult DistSimulator::run(
     // context i's payload in its read slot's staging (valid until that
     // slot's next submit — after the round's compute).
     ContextStore::Views ctx_views;
-    std::vector<bsp::Message> incoming;
-    std::vector<std::vector<bsp::Message>> inboxes;
-    std::vector<bsp::Message> outgoing;
     std::vector<State> states;
-    // Zero-copy path: fetched payloads live in this arena (reset per round
-    // — the previous round's compute has consumed its refs), and outgoing
-    // refs point into the per-vproc outbox arenas, which stay alive until
-    // the round's messages are written or scattered.
-    const bool zero_copy = cfg_.zero_copy;
+    // Fetched payloads live in this arena (reset per round — the previous
+    // round's compute has consumed its refs), and outgoing refs point into
+    // the per-vproc outbox arenas, which stay alive until the round's
+    // messages are written or scattered.
     util::Arena inbox_arena;
-    std::vector<bsp::MessageRef> incoming_refs;
-    std::vector<std::vector<bsp::MessageRef>> inbox_refs;
-    std::vector<bsp::MessageRef> outgoing_refs;
+    std::vector<bsp::MessageRef> incoming;
+    std::vector<std::vector<bsp::MessageRef>> inboxes;
+    std::vector<bsp::MessageRef> outgoing;
     std::vector<bsp::Outbox> outboxes;
 
     // Per-vproc compute results, filled by (possibly concurrent) superstep()
@@ -682,7 +677,7 @@ SimResult DistSimulator::run(
         const std::uint32_t first = round * k;
         const std::uint32_t count = std::min(k, local_v - first);
         const int cur = static_cast<int>(round & 1);
-        if (zero_copy) inbox_arena.reset();
+        inbox_arena.reset();
         const auto fetch_ctx = [&] {
           ObsPhase phase(rec, pipelined ? "prefetch_ctx" : "fetch_ctx", disks,
                          &tally.phase_io.fetch_ctx, me);
@@ -699,16 +694,10 @@ SimResult DistSimulator::run(
           {
             ObsPhase phase(rec, pipelined ? "prefetch_msg" : "fetch_msg",
                            disks, &tally.phase_io.fetch_msg, me);
-            if (pipelined && zero_copy) {
-              incoming_refs =
-                  messages.fetch_group_wait_refs(msg_fetch[cur], inbox_arena);
-            } else if (pipelined) {
-              incoming = messages.fetch_group_wait(msg_fetch[cur]);
-            } else if (zero_copy) {
-              incoming_refs = messages.fetch_group_refs(round, inbox_arena);
-            } else {
-              incoming = messages.fetch_group(round);
-            }
+            incoming =
+                pipelined
+                    ? messages.fetch_group_wait(msg_fetch[cur], inbox_arena)
+                    : messages.fetch_group(round, inbox_arena);
           }
           // Read-ahead: round r+1's transfers overlap round r's compute.
           if (pipelined && round + 1 < rounds) submit_prefetch(round + 1);
@@ -737,15 +726,11 @@ SimResult DistSimulator::run(
           }
           ++exchanges_made;
           auto forward = tp_->exchange();
-          Reassembler reasm(cfg_.gamma, zero_copy ? &inbox_arena : nullptr);
+          Reassembler reasm(inbox_arena, cfg_.gamma);
           for (std::uint32_t src = 0; src < p; ++src) {
             for (auto& block : forward[src]) reasm.absorb(block, round);
           }
-          if (zero_copy) {
-            incoming_refs = reasm.take_refs();
-          } else {
-            incoming = reasm.take();
-          }
+          incoming = reasm.take();
           fetch_ctx();
           if (pipelined && round + 1 < rounds) submit_prefetch(round + 1);
           // A fast peer may already be scattering this round's blocks at
@@ -762,19 +747,9 @@ SimResult DistSimulator::run(
           }
           return local - first;
         };
-        if (zero_copy) {
-          if (inbox_refs.size() < count) inbox_refs.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) inbox_refs[i].clear();
-          for (const auto& m : incoming_refs) {
-            inbox_refs[inbox_of(m.dst)].push_back(m);
-          }
-        } else {
-          if (inboxes.size() < count) inboxes.resize(count);
-          for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
-          for (auto& m : incoming) {
-            inboxes[inbox_of(m.dst)].push_back(std::move(m));
-          }
-        }
+        if (inboxes.size() < count) inboxes.resize(count);
+        for (std::uint32_t i = 0; i < count; ++i) inboxes[i].clear();
+        for (const auto& m : incoming) inboxes[inbox_of(m.dst)].push_back(m);
 
         // --- Compute: run the k virtual supersteps.
         states.clear();
@@ -785,7 +760,6 @@ SimResult DistSimulator::run(
           outboxes.emplace_back(me * local_v + first + i, v);
         }
         outgoing.clear();
-        outgoing_refs.clear();
         {
           ObsPhase compute_phase(rec, "compute", disks, nullptr, me);
           // Each task touches only index-i data; costs are reduced below
@@ -793,8 +767,7 @@ SimResult DistSimulator::run(
           auto task = [&](std::size_t i) {
             util::Reader r(ctx_views[i]);
             states[i].deserialize(r);
-            bsp::Inbox in = zero_copy ? bsp::Inbox(std::move(inbox_refs[i]))
-                                      : bsp::Inbox(std::move(inboxes[i]));
+            bsp::Inbox in(std::move(inboxes[i]));
             bsp::WorkMeter m;
             bsp::ProcEnv env{
                 me * local_v + first + static_cast<std::uint32_t>(i), v, &m};
@@ -842,18 +815,10 @@ SimResult DistSimulator::run(
               std::max(c.max_packets_received, s.recv_packets);
           c.total_bytes += s.bytes_sent;
           c.num_messages += s.num_messages;
-          if (zero_copy) {
-            for (const auto& msg : outboxes[i].messages()) {
-              outgoing_refs.push_back(msg);
-            }
-            tally.arena_peak = std::max<std::uint64_t>(
-                tally.arena_peak, outboxes[i].arena_high_water());
-          } else {
-            for (auto& msg : outboxes[i].take()) {
-              outgoing.push_back(std::move(msg));
-            }
-            tally.outbox_copied += outboxes[i].bytes_copied();
-          }
+          const auto sent = outboxes[i].messages();
+          outgoing.insert(outgoing.end(), sent.begin(), sent.end());
+          tally.arena_peak = std::max<std::uint64_t>(
+              tally.arena_peak, outboxes[i].arena_high_water());
         }
         tally.arena_peak =
             std::max<std::uint64_t>(tally.arena_peak, inbox_arena.high_water());
@@ -879,11 +844,7 @@ SimResult DistSimulator::run(
           {
             ObsPhase phase(rec, pipelined ? "writeback_msg" : "write_msg",
                            disks, &tally.phase_io.write_msg, me);
-            if (zero_copy) {
-              messages.write_message_refs(outgoing_refs, group_of, rng);
-            } else {
-              messages.write_messages(outgoing, group_of, rng);
-            }
+            messages.write_messages(outgoing, group_of, rng);
           }
           write_ctx();
           continue;
@@ -918,32 +879,16 @@ SimResult DistSimulator::run(
             // Sealed blocks go to the wire while the pack continues.
             tp_->progress();
           };
-          if (zero_copy) {
-            std::vector<std::vector<bsp::MessageRef>> by_dest;
-            for (const auto& m : outgoing_refs) {
-              const std::size_t slot = slot_of(m.dst);
-              if (by_dest.size() <= slot) by_dest.resize(slot + 1);
-              by_dest[slot].push_back(m);
-            }
-            for (std::size_t s = 0; s < by_dest.size(); ++s) {
-              const auto batch =
-                  static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
-              pack_blocks(std::span<const bsp::MessageRef>(by_dest[s]),
-                          batch, disks.block_size(), scatter_block);
-            }
-          } else {
-            std::vector<std::vector<const bsp::Message*>> by_dest;
-            for (const auto& m : outgoing) {
-              const std::size_t slot = slot_of(m.dst);
-              if (by_dest.size() <= slot) by_dest.resize(slot + 1);
-              by_dest[slot].push_back(&m);
-            }
-            for (std::size_t s = 0; s < by_dest.size(); ++s) {
-              const auto batch =
-                  static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
-              pack_blocks(by_dest[s], batch, disks.block_size(),
-                          scatter_block);
-            }
+          std::vector<std::vector<bsp::MessageRef>> by_dest;
+          for (const auto& m : outgoing) {
+            const std::size_t slot = slot_of(m.dst);
+            if (by_dest.size() <= slot) by_dest.resize(slot + 1);
+            by_dest[slot].push_back(m);
+          }
+          for (std::size_t s = 0; s < by_dest.size(); ++s) {
+            const auto batch =
+                static_cast<std::uint32_t>(dest_keys[s] & 0xFFFFFFFFu);
+            pack_blocks(by_dest[s], batch, disks.block_size(), scatter_block);
           }
         }
         ++exchanges_made;
@@ -956,13 +901,9 @@ SimResult DistSimulator::run(
           ObsPhase phase(rec, "write_msg", disks, &tally.phase_io.write_msg,
                          me);
           for (std::uint32_t src = 0; src < p; ++src) {
+            // Adopt each delivered buffer instead of copying it.
             for (auto& block : scattered[src]) {
-              if (zero_copy) {
-                // Adopt the delivered buffer instead of copying it.
-                messages.write_block(std::move(block), rng);
-              } else {
-                messages.write_block(block, rng);
-              }
+              messages.write_block(std::move(block), rng);
             }
           }
         }
@@ -1177,12 +1118,10 @@ SimResult DistSimulator::run(
       w.write<std::uint8_t>(busy > 0 ? 1 : 0);
       w.write<double>(clamped);
       w.write<std::uint64_t>(disks.max_tracks_used());
-      w.write<std::uint64_t>(messages.bytes_copied());
       w.write<std::uint8_t>(messages.in_memory_routing() ? 1 : 0);
       for (std::uint32_t q = 0; q < p; ++q) tp_->post(q, w.bytes());
     }
     const auto records = tp_->exchange();
-    std::uint64_t copied_total = 0;
     std::uint64_t arena_peak_all = 0;
     bool mem_routing = true;
     for (std::uint32_t src = 0; src < p; ++src) {
@@ -1206,7 +1145,6 @@ SimResult DistSimulator::run(
       }
       result.max_tracks_per_disk =
           std::max(result.max_tracks_per_disk, r.read<std::uint64_t>());
-      copied_total += r.read<std::uint64_t>() + t.outbox_copied;
       const bool routed_in_memory = r.read<std::uint8_t>() != 0;
       mem_routing = mem_routing && routed_in_memory;
       result.recovery.io_retries += t.io_retries;
@@ -1239,10 +1177,6 @@ SimResult DistSimulator::run(
                         static_cast<double>(result.real_comm_bytes));
         }
         reg.set_gauge("sim.overlap_ratio", result.overlap_ratio);
-        // Copy discipline: staging bytes that crossed a memcpy (block
-        // staging plus legacy outbox materialization) and peak arena
-        // residency.
-        reg.add("sim.bytes_copied", copied_total);
         reg.set_gauge("sim.arena_bytes", static_cast<double>(arena_peak_all));
         reg.set_gauge("sim.in_memory_routing", mem_routing ? 1.0 : 0.0);
         LayoutPlanner::export_plan(reg, plan, cfg_);

@@ -188,10 +188,6 @@ void LayoutPlanner::apply_auto_tune(SimConfig& cfg) {
   // budget admits the whole exchange, Algorithm 2's compact scheme
   // otherwise.
   cfg.routing = RoutingMode::automatic;
-  // Coalescing is a pure win except under fault injection, where retrying
-  // a coalesced run would replay calls for tracks that already succeeded
-  // and shift the deterministic fault schedule.
-  cfg.coalesce_io = !cfg.faults.enabled();
   // Compute width matters only when the pipeline overlaps compute with
   // I/O; start from the hardware and let GroupTuner trim per superstep.
   if (cfg.pipeline && cfg.compute_threads <= 1) {

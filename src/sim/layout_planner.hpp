@@ -17,8 +17,8 @@
 //    working sets stay O((D + fanout)·B), like Algorithm 2's O(D·B).
 //
 //  * Self-tuning (SimConfig::auto_tune).  apply_auto_tune() picks k,
-//    routing mode (compact vs in-memory via RoutingMode::automatic),
-//    coalescing and the compute-pool width instead of hand-set flags;
+//    routing mode (compact vs in-memory via RoutingMode::automatic) and
+//    the compute-pool width instead of hand-set flags;
 //    GroupTuner re-plans the compute width at superstep boundaries only,
 //    from the engine's stall/busy deltas, so the call-indexed fault
 //    schedule stays aligned within a superstep run.  Results never depend
@@ -105,10 +105,8 @@ class LayoutPlanner {
   /// Static half of SimConfig::auto_tune, applied once at simulator
   /// construction (before the disk arrays are built): k goes back to the
   /// planner's formula, routing to RoutingMode::automatic (in-memory when
-  /// the budget admits it, compact otherwise), coalescing on unless fault
-  /// injection would make retries shift the call schedule, and — when
-  /// pipelining — a hardware-sized compute-pool width.  No-op unless
-  /// cfg.auto_tune is set.
+  /// the budget admits it, compact otherwise) and — when pipelining — a
+  /// hardware-sized compute-pool width.  No-op unless cfg.auto_tune is set.
   static void apply_auto_tune(SimConfig& cfg);
 
   /// Export the chosen plan as `sim.layout.*` gauges.

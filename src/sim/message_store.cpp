@@ -140,27 +140,13 @@ void MessageStore::stage_account(std::uint32_t group, bool dummy) {
   if (!dummy) ++staged_real_[group];
 }
 
-void MessageStore::stage(std::uint32_t group, std::span<const std::byte> block,
-                         util::Rng& rng) {
-  stage_account(group, is_dummy_block(block));
-  bytes_copied_ += block.size();
-  if (mem_mode_) {
-    mem_staged_[group].emplace_back(block.begin(), block.end());
-    return;
-  }
-  pending_.push_back(
-      {bucket_of_group(group),
-       std::vector<std::byte>(block.begin(), block.end())});
-  if (pending_.size() == num_disks_) flush(rng);
-}
-
-std::span<std::byte> MessageStore::stage_alloc(std::uint32_t group,
+std::span<std::byte> MessageStore::stage_alloc(std::uint32_t group, bool dummy,
                                                util::Rng& rng) {
   // Completing the previous block may have filled the write cycle; flush
-  // BEFORE accounting the next block so the RNG-draw order matches the
-  // copying path (which flushes inside stage(), right after its push).
+  // it BEFORE accounting the next block, so every cycle goes out (and
+  // draws its placement) the moment its D-th block is complete.
   if (!mem_mode_ && pending_.size() == num_disks_) flush(rng);
-  stage_account(group, /*dummy=*/false);
+  stage_account(group, dummy);
   if (mem_mode_) {
     mem_staged_[group].emplace_back(block_size_);
     return {mem_staged_[group].back().data(), block_size_};
@@ -171,34 +157,11 @@ std::span<std::byte> MessageStore::stage_alloc(std::uint32_t group,
 }
 
 void MessageStore::write_messages(
-    std::span<const bsp::Message> messages,
+    std::span<const bsp::MessageRef> messages,
     const std::function<std::uint32_t(std::uint32_t)>& group_of,
     util::Rng& rng) {
   // Partition messages by destination group, then pack each group's
   // messages into blocks ("each block inherits the destination address").
-  std::vector<std::vector<const bsp::Message*>> per_group;
-  for (const auto& m : messages) {
-    const std::uint32_t g = group_of(m.dst);
-    if (g >= cfg_.num_groups) {
-      throw std::out_of_range("MessageStore: message to unknown group " +
-                              std::to_string(g));
-    }
-    if (per_group.size() <= g) per_group.resize(g + 1);
-    per_group[g].push_back(&m);
-  }
-  for (std::uint32_t g = 0; g < per_group.size(); ++g) {
-    if (per_group[g].empty()) continue;
-    pack_blocks(per_group[g], g, block_size_,
-                [&](std::span<const std::byte> block) {
-                  stage(g, block, rng);
-                });
-  }
-}
-
-void MessageStore::write_message_refs(
-    std::span<const bsp::MessageRef> messages,
-    const std::function<std::uint32_t(std::uint32_t)>& group_of,
-    util::Rng& rng) {
   std::vector<std::vector<bsp::MessageRef>> per_group;
   for (const auto& m : messages) {
     const std::uint32_t g = group_of(m.dst);
@@ -212,17 +175,10 @@ void MessageStore::write_message_refs(
   for (std::uint32_t g = 0; g < per_group.size(); ++g) {
     if (per_group[g].empty()) continue;
     pack_blocks_into(per_group[g], g, block_size_,
-                     [&]() { return stage_alloc(g, rng); });
-    // The copying path flushes inside stage() the moment a cycle fills;
-    // mirror that here in case this group's last block completed one.
+                     [&]() { return stage_alloc(g, /*dummy=*/false, rng); });
+    // This group's last block may have completed a cycle.
     if (!mem_mode_ && pending_.size() == num_disks_) flush(rng);
   }
-}
-
-void MessageStore::write_block(std::span<const std::byte> block,
-                               util::Rng& rng) {
-  const BlockHeader h = parse_header(block);
-  stage(h.dst_group, block, rng);
 }
 
 void MessageStore::write_block(std::vector<std::byte>&& block,
@@ -377,12 +333,11 @@ RoutingStats MessageStore::reorganize(util::Rng& rng) {
   // group is filled to capacity so each superstep's routing cost is the
   // fixed worst case that Lemma 3 analyzes.
   if (cfg_.mode == RoutingMode::padded) {
-    std::vector<std::byte> dummy;
     for (std::uint32_t g = 0; g < cfg_.num_groups; ++g) {
       while (staged_count_[g] < cfg_.group_capacity_blocks) {
-        make_dummy_block(g, block_size_, dummy);
+        make_dummy_block(g, stage_alloc(g, /*dummy=*/true, rng));
         stats.dummy_blocks += 1;
-        stage(g, dummy, rng);
+        if (pending_.size() == num_disks_) flush(rng);
       }
     }
   }
@@ -756,7 +711,8 @@ void MessageStore::fetch_group_submit(std::uint32_t g, PendingFetch& pf) {
   submit_group_reads(g, pf.buf, pf.tokens);
 }
 
-void MessageStore::absorb_fetch(PendingFetch& pf, Reassembler& r) {
+std::vector<bsp::MessageRef> MessageStore::fetch_group_wait(
+    PendingFetch& pf, util::Arena& inbox_arena) {
   if (!pf.active) {
     throw std::logic_error(
         "MessageStore::fetch_group_wait: no fetch in flight");
@@ -764,43 +720,25 @@ void MessageStore::absorb_fetch(PendingFetch& pf, Reassembler& r) {
   for (const auto t : pf.tokens) disks_->wait(t);
   pf.tokens.clear();
   pf.active = false;
+  Reassembler r(inbox_arena, cfg_.max_message_bytes);
   if (mem_mode_) {
     for (const auto& block : mem_ready_[pf.group]) r.absorb(block, pf.group);
-    return;
+  } else {
+    for (std::uint64_t t = 0; t < pf.count; ++t) {
+      r.absorb(std::span<const std::byte>(pf.buf).subspan(t * block_size_,
+                                                          block_size_),
+               pf.group);
+    }
   }
-  for (std::uint64_t t = 0; t < pf.count; ++t) {
-    r.absorb(std::span<const std::byte>(pf.buf).subspan(t * block_size_,
-                                                        block_size_),
-             pf.group);
-  }
-}
-
-std::vector<bsp::Message> MessageStore::fetch_group_wait(PendingFetch& pf) {
-  Reassembler r(cfg_.max_message_bytes);
-  absorb_fetch(pf, r);
   return r.take();
 }
 
-std::vector<bsp::MessageRef> MessageStore::fetch_group_wait_refs(
-    PendingFetch& pf, util::Arena& arena) {
-  Reassembler r(cfg_.max_message_bytes, &arena);
-  absorb_fetch(pf, r);
-  return r.take_refs();
-}
-
-std::vector<bsp::Message> MessageStore::fetch_group(std::uint32_t g) {
-  Reassembler r(cfg_.max_message_bytes);
+std::vector<bsp::MessageRef> MessageStore::fetch_group(
+    std::uint32_t g, util::Arena& inbox_arena) {
+  Reassembler r(inbox_arena, cfg_.max_message_bytes);
   fetch_group_blocks(
       g, [&](std::span<const std::byte> block) { r.absorb(block, g); });
   return r.take();
-}
-
-std::vector<bsp::MessageRef> MessageStore::fetch_group_refs(
-    std::uint32_t g, util::Arena& arena) {
-  Reassembler r(cfg_.max_message_bytes, &arena);
-  fetch_group_blocks(
-      g, [&](std::span<const std::byte> block) { r.absorb(block, g); });
-  return r.take_refs();
 }
 
 MessageStore::Snapshot MessageStore::snapshot() const {
@@ -844,7 +782,6 @@ void MessageStore::export_state(util::Writer& w) {
   w.write_vector(ready_count_);
   w.write_vector(ready_real_);
   w.write_vector(ready_base_);
-  w.write<std::uint64_t>(bytes_copied_);
   if (mem_mode_) {
     for (std::uint32_t g = 0; g < cfg_.num_groups; ++g) {
       for (const auto& block : mem_ready_[g]) {
@@ -880,7 +817,6 @@ void MessageStore::restore_state(util::Reader& r) {
   ready_count_ = r.read_vector<std::uint64_t>();
   ready_real_ = r.read_vector<std::uint64_t>();
   ready_base_ = r.read_vector<std::uint64_t>();
-  bytes_copied_ = r.read<std::uint64_t>();
   if (rr_next_.size() != num_disks_ ||
       ready_count_.size() != cfg_.num_groups ||
       ready_real_.size() != cfg_.num_groups ||

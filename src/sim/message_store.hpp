@@ -3,10 +3,14 @@
 //
 // Lifecycle within one compound superstep:
 //
-//   fetch_group(g)      — read group g's reorganized messages (Fetch Phase)
-//   write_messages(...) — cut the messages generated by the current group
-//                         into size-B blocks and stage them into the D
-//                         buckets in randomized write cycles (Writing Phase)
+//   fetch_group(g, inbox_arena)
+//                       — read group g's reorganized messages, reassembled
+//                         into a util::Arena and handed out as MessageRef
+//                         views (Fetch Phase)
+//   write_messages(...) — pack the MessageRef views generated by the current
+//                         group into size-B blocks, written in place into
+//                         the D buckets' staging, and stage them in
+//                         randomized write cycles (Writing Phase)
 //   flush(); reorganize(rng)
 //                       — Algorithm 2: move every bucket onto "its" disk
 //                         (step 1), then re-stripe each destination group
@@ -86,27 +90,16 @@ class MessageStore {
 
   // --- Writing phase ------------------------------------------------------
 
-  /// Cut `messages` into blocks by destination group and stage them.
-  void write_messages(std::span<const bsp::Message> messages,
+  /// Cut `messages` into blocks by destination group and stage them: each
+  /// group's messages are packed by pack_blocks_into straight into the
+  /// staged block buffers, and a write cycle goes out the moment it fills.
+  void write_messages(std::span<const bsp::MessageRef> messages,
                       const std::function<std::uint32_t(std::uint32_t dst)>&
                           group_of,
                       util::Rng& rng);
 
-  /// Zero-copy variant: packs MessageRef views (arena-backed payloads)
-  /// directly into the staged block buffers via pack_blocks_into, skipping
-  /// the per-block bounce copy of the Message path.  Placement, RNG draws
-  /// and capacity accounting happen in the identical order, so the disk
-  /// image is byte-identical to write_messages for the same traffic.
-  void write_message_refs(std::span<const bsp::MessageRef> messages,
-                          const std::function<std::uint32_t(std::uint32_t)>&
-                              group_of,
-                          util::Rng& rng);
-
-  /// Stage one pre-formed block (used by the parallel simulator, which
-  /// receives ready-made blocks from peer processors).
-  void write_block(std::span<const std::byte> block, util::Rng& rng);
-
-  /// Move overload: takes ownership of the buffer instead of copying it.
+  /// Stage one pre-formed block, taking ownership of the buffer (ranks of
+  /// p > 1 receive ready-made blocks from their peers).
   void write_block(std::vector<std::byte>&& block, util::Rng& rng);
 
   /// Write out any pending partial write cycle.
@@ -159,13 +152,11 @@ class MessageStore {
       std::uint32_t g,
       const std::function<void(std::span<const std::byte>)>& consume);
 
-  /// Convenience: fetch + reassemble into complete messages.
-  [[nodiscard]] std::vector<bsp::Message> fetch_group(std::uint32_t g);
-
-  /// Zero-copy fetch: payloads are bump-allocated from `arena` and the
-  /// returned refs stay valid until the arena resets.
-  [[nodiscard]] std::vector<bsp::MessageRef> fetch_group_refs(
-      std::uint32_t g, util::Arena& arena);
+  /// Fetch + reassemble into complete messages: payloads are
+  /// bump-allocated from `inbox_arena`, and the returned refs stay valid
+  /// until it resets.
+  [[nodiscard]] std::vector<bsp::MessageRef> fetch_group(
+      std::uint32_t g, util::Arena& inbox_arena);
 
   /// One in-flight group prefetch: the arena reads of fetch_group,
   /// submitted up front (same <=D batching as the blocking path, so model
@@ -184,13 +175,10 @@ class MessageStore {
   /// the same bytes the blocking fetch would.
   void fetch_group_submit(std::uint32_t g, PendingFetch& pf);
 
-  /// Wait the submitted reads and reassemble, absorbing blocks in the same
-  /// t order as fetch_group.
-  [[nodiscard]] std::vector<bsp::Message> fetch_group_wait(PendingFetch& pf);
-
-  /// Zero-copy variant of fetch_group_wait (see fetch_group_refs).
-  [[nodiscard]] std::vector<bsp::MessageRef> fetch_group_wait_refs(
-      PendingFetch& pf, util::Arena& arena);
+  /// Wait the submitted reads and reassemble into `inbox_arena`, absorbing
+  /// blocks in the same t order as fetch_group.
+  [[nodiscard]] std::vector<bsp::MessageRef> fetch_group_wait(
+      PendingFetch& pf, util::Arena& inbox_arena);
 
   /// True when RoutingMode::automatic is active AND the staging budget
   /// admitted the in-memory fast path (reorganize is then a zero-I/O
@@ -221,10 +209,6 @@ class MessageStore {
   [[nodiscard]] std::uint64_t distribute_cycles() const {
     return dist_cycles_;
   }
-
-  /// Payload/block bytes this store copied through staging (the traffic the
-  /// zero-copy write path avoids); feeds the "sim.bytes_copied" counter.
-  [[nodiscard]] std::uint64_t bytes_copied() const { return bytes_copied_; }
 
   // --- Introspection (tests / benches) -------------------------------------
 
@@ -284,15 +268,15 @@ class MessageStore {
   void restore_state(util::Reader& r);
 
  private:
-  void stage(std::uint32_t group, std::span<const std::byte> block,
-             util::Rng& rng);
   /// Capacity/count bookkeeping shared by every staging path; throws on
   /// group range / capacity violations.
   void stage_account(std::uint32_t group, bool dummy);
-  /// Direct-packing sink for write_message_refs: flushes a full pending
-  /// cycle (same RNG-draw order as stage()), then hands out the next
-  /// pending block's buffer for pack_blocks_into to fill in place.
-  std::span<std::byte> stage_alloc(std::uint32_t group, util::Rng& rng);
+  /// Staging sink for write_messages and padded mode's dummies: flushes a
+  /// full pending cycle, then hands out the next pending block's buffer
+  /// (zero-filled) for the caller to fill in place.  The caller flushes the
+  /// cycle its last block completes.
+  std::span<std::byte> stage_alloc(std::uint32_t group, bool dummy,
+                                   util::Rng& rng);
   /// Arena placement of consolidated block t of bucket d.
   [[nodiscard]] std::pair<std::uint32_t, std::uint64_t> arena_location(
       std::uint32_t bucket, std::uint64_t t) const;
@@ -308,9 +292,6 @@ class MessageStore {
   /// leaf `li` of the currently distributed super-group.
   void submit_leaf_reads(std::uint32_t li, std::vector<std::byte>& buf,
                          std::vector<em::DiskArray::IoToken>& tokens);
-  /// Shared tail of the fetch_group_wait variants: settle the tokens and
-  /// absorb every block in t order.
-  void absorb_fetch(PendingFetch& pf, Reassembler& r);
 
   em::DiskArray* disks_;
   em::TrackAllocators* alloc_;
@@ -354,7 +335,6 @@ class MessageStore {
   bool mem_mode_ = false;  // automatic routing, budget admitted
   std::vector<std::vector<std::vector<std::byte>>> mem_staged_;  // per group
   std::vector<std::vector<std::vector<std::byte>>> mem_ready_;   // per group
-  std::uint64_t bytes_copied_ = 0;
   std::vector<std::uint64_t> staged_count_;  // per group, writing side
   std::vector<std::uint64_t> staged_real_;   // excluding dummy padding
   std::vector<std::uint64_t> ready_count_;   // per group, fetch side

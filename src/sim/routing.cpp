@@ -24,23 +24,20 @@ std::uint16_t get_u16(const std::byte* p) {
   return v;
 }
 
-[[noreturn]] void throw_overlap(const bsp::Message& m) {
+[[noreturn]] void throw_overlap(std::uint32_t src, std::uint32_t dst,
+                                std::uint32_t seq) {
   throw em::CorruptBlockError(
       "Reassembler: overlapping chunks in message (src " +
-      std::to_string(m.src) + ", dst " + std::to_string(m.dst) + ", seq " +
-      std::to_string(m.seq) + ")");
+      std::to_string(src) + ", dst " + std::to_string(dst) + ", seq " +
+      std::to_string(seq) + ")");
 }
 
-// Shared packing core.  `get(i)` yields anything with src/dst/seq fields
-// and a payload supporting data()/size() (bsp::Message or bsp::MessageRef),
-// so the copying and zero-copy entry points run the identical algorithm and
-// produce bit-identical blocks.  Blocks are written in place into spans
-// handed out by `alloc`; the previously returned span is fully written
-// (header, chunks, zero pad) before the next alloc call.
-template <typename GetMsg>
-std::size_t pack_core(std::size_t count, GetMsg&& get,
-                      std::uint32_t dst_group, std::size_t block_size,
-                      const std::function<std::span<std::byte>()>& alloc) {
+}  // namespace
+
+std::size_t pack_blocks_into(
+    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
+    std::size_t block_size,
+    const std::function<std::span<std::byte>()>& alloc) {
   if (block_size < kMinBlockSize) {
     throw std::invalid_argument("pack_blocks: block size below minimum");
   }
@@ -68,8 +65,7 @@ std::size_t pack_core(std::size_t count, GetMsg&& get,
     }
   };
 
-  for (std::size_t i = 0; i < count; ++i) {
-    const auto& m = get(i);
+  for (const bsp::MessageRef& m : messages) {
     const auto total = static_cast<std::uint32_t>(m.payload.size());
     std::uint32_t offset = 0;
     // Emit at least one chunk even for empty messages.
@@ -104,19 +100,17 @@ std::size_t pack_core(std::size_t count, GetMsg&& get,
   return produced;
 }
 
-// Adapts the emit-style interface onto the alloc core: one bounce buffer,
-// emitted when the core completes it (i.e. just before the next alloc and
-// once more after the core returns — every alloc'd block gets >= 1 chunk,
-// so the counts always match).
-template <typename GetMsg>
-std::size_t pack_emit(std::size_t count, GetMsg&& get, std::uint32_t dst_group,
-                      std::size_t block_size,
-                      const std::function<void(std::span<const std::byte>)>&
-                          emit) {
+std::size_t pack_blocks(
+    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
+    std::size_t block_size,
+    const std::function<void(std::span<const std::byte>)>& emit) {
+  // One bounce buffer, emitted when pack_blocks_into completes it: just
+  // before the next alloc, and once more after it returns.  Every alloc'd
+  // block gets >= 1 chunk, so the counts always match.
   std::vector<std::byte> buf(block_size >= kMinBlockSize ? block_size : 0);
   bool have = false;
-  const std::size_t produced = pack_core(
-      count, std::forward<GetMsg>(get), dst_group, block_size, [&]() {
+  const std::size_t produced =
+      pack_blocks_into(messages, dst_group, block_size, [&]() {
         if (have) emit(buf);
         have = true;
         return std::span<std::byte>(buf);
@@ -125,42 +119,8 @@ std::size_t pack_emit(std::size_t count, GetMsg&& get, std::uint32_t dst_group,
   return produced;
 }
 
-}  // namespace
-
-std::size_t pack_blocks(
-    std::span<const bsp::Message* const> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit) {
-  return pack_emit(
-      messages.size(), [&](std::size_t i) -> const bsp::Message& {
-        return *messages[i];
-      },
-      dst_group, block_size, emit);
-}
-
-std::size_t pack_blocks(
-    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit) {
-  return pack_emit(
-      messages.size(),
-      [&](std::size_t i) -> const bsp::MessageRef& { return messages[i]; },
-      dst_group, block_size, emit);
-}
-
-std::size_t pack_blocks_into(
-    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<std::span<std::byte>()>& alloc) {
-  return pack_core(
-      messages.size(),
-      [&](std::size_t i) -> const bsp::MessageRef& { return messages[i]; },
-      dst_group, block_size, alloc);
-}
-
-void make_dummy_block(std::uint32_t dst_group, std::size_t block_size,
-                      std::vector<std::byte>& out) {
-  out.assign(block_size, std::byte{0});
+void make_dummy_block(std::uint32_t dst_group, std::span<std::byte> out) {
+  std::fill(out.begin(), out.end(), std::byte{0});
   put_u32(out.data(), dst_group);
   put_u16(out.data() + 4, 0xFFFF);  // n_chunks sentinel marks a dummy
 }
@@ -266,23 +226,18 @@ Reassembler::Partial* Reassembler::find_or_create(std::uint32_t src,
   auto [it, inserted] = partial_.try_emplace(ChunkKey{src, dst, seq});
   Partial& p = it->second;
   if (inserted) {
-    p.msg.src = src;
-    p.msg.dst = dst;
-    p.msg.seq = seq;
-    if (arena_ != nullptr) {
-      p.buf = arena_->allocate(total_len);
-    } else {
-      p.msg.payload.resize(total_len);
-    }
-  } else if (p.total(arena_ != nullptr) != total_len) {
+    p.src = src;
+    p.dst = dst;
+    p.seq = seq;
+    p.buf = arena_->allocate(total_len);
+  } else if (p.buf.size() != total_len) {
     // Chunks of one message must agree on its total length; a mismatch
     // means a garbled header, and trusting the larger value would let the
     // memcpy below run past the buffer sized by the first chunk.
     throw em::CorruptBlockError(
         "Reassembler: total_len mismatch across chunks of message (src " +
         std::to_string(src) + ", dst " + std::to_string(dst) + ", seq " +
-        std::to_string(seq) + "): " +
-        std::to_string(p.total(arena_ != nullptr)) + " vs " +
+        std::to_string(seq) + "): " + std::to_string(p.buf.size()) + " vs " +
         std::to_string(total_len));
   }
   return &p;
@@ -338,11 +293,8 @@ void Reassembler::absorb(std::span<const std::byte> block,
     if (len > 0) {
       // Every chunk lies inside [0, total), so more bytes than total means
       // two chunks overlap: a block read twice, misdirected or replayed.
-      if (part->received + len > total) throw_overlap(part->msg);
-      std::byte* dst_bytes = arena_ != nullptr
-                                 ? part->buf.data()
-                                 : part->msg.payload.data();
-      std::memcpy(dst_bytes + offset, block.data() + pos, len);
+      if (part->received + len > total) throw_overlap(src, dst, seq);
+      std::memcpy(part->buf.data() + offset, block.data() + pos, len);
       if (offset == part->prefix) {
         part->prefix += len;
       } else {
@@ -354,43 +306,24 @@ void Reassembler::absorb(std::span<const std::byte> block,
   }
 }
 
-std::vector<bsp::Message> Reassembler::take() {
-  std::vector<bsp::Message> out;
-  out.reserve(partial_.size());
-  for (auto& [key, p] : partial_) {
-    check_complete(p);
-    if (arena_ != nullptr) {
-      p.msg.payload.assign(p.buf.begin(), p.buf.end());
-    }
-    out.push_back(std::move(p.msg));
-  }
-  partial_.clear();
-  return out;
-}
-
-std::vector<bsp::MessageRef> Reassembler::take_refs() {
-  if (arena_ == nullptr) {
-    throw std::logic_error(
-        "Reassembler::take_refs requires arena mode (payloads would dangle)");
-  }
+std::vector<bsp::MessageRef> Reassembler::take() {
   std::vector<bsp::MessageRef> out;
   out.reserve(partial_.size());
   for (auto& [key, p] : partial_) {
     check_complete(p);
-    out.push_back(bsp::MessageRef{p.msg.src, p.msg.dst, p.msg.seq,
-                                  {p.buf.data(), p.buf.size()}});
+    out.push_back(bsp::MessageRef{p.src, p.dst, p.seq, p.buf});
   }
   partial_.clear();
   return out;
 }
 
 void Reassembler::check_complete(Partial& p) const {
-  if (p.received != p.total(arena_ != nullptr)) {
+  if (p.received != p.buf.size()) {
     throw std::runtime_error(
-        "Reassembler: incomplete message (src " + std::to_string(p.msg.src) +
-        ", seq " + std::to_string(p.msg.seq) + "): got " +
-        std::to_string(p.received) + " of " +
-        std::to_string(p.total(arena_ != nullptr)) + " bytes");
+        "Reassembler: incomplete message (src " + std::to_string(p.src) +
+        ", seq " + std::to_string(p.seq) + "): got " +
+        std::to_string(p.received) + " of " + std::to_string(p.buf.size()) +
+        " bytes");
   }
   // The chunks add up to the total; they tile [0, total) unless two of
   // them overlap, in which case a duplicate stands in for a missing chunk
@@ -398,7 +331,7 @@ void Reassembler::check_complete(Partial& p) const {
   std::sort(p.spans.begin(), p.spans.end());
   std::uint64_t covered = p.prefix;
   for (const auto& [begin, end] : p.spans) {
-    if (begin < covered) throw_overlap(p.msg);
+    if (begin < covered) throw_overlap(p.src, p.dst, p.seq);
     covered = end;
   }
 }

@@ -68,34 +68,27 @@ inline constexpr std::size_t kMinBlockSize =
     kBlockHeaderBytes + kChunkHeaderBytes + 2;
 
 /// Packs messages into size-B blocks, all addressed to one destination
-/// group.  Returns the number of blocks produced via `emit` (each call gets
-/// a span of exactly `block_size` bytes, valid until the next call).
-std::size_t pack_blocks(
-    std::span<const bsp::Message* const> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit);
-
-/// Zero-copy overload: packs MessageRef views (arena-backed payloads)
-/// through the identical algorithm, so both overloads produce bit-identical
-/// blocks for the same message sequence.
-std::size_t pack_blocks(
-    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
-    std::size_t block_size,
-    const std::function<void(std::span<const std::byte>)>& emit);
-
-/// Alloc-style packing that writes blocks in place (no bounce buffer).
-/// Each call to `alloc` must return a writable span of exactly `block_size`
-/// bytes; the previously returned span is fully written — header, chunks,
-/// zero padding — before the next call, so the callback may ship or enqueue
-/// it.  Returns the number of blocks produced (== number of alloc calls).
+/// group, writing each block in place.  Each call to `alloc` must return a
+/// writable span of exactly `block_size` bytes; the previously returned
+/// span is fully written — header, chunks, zero padding — before the next
+/// call, so the callback may ship or enqueue it.  Returns the number of
+/// blocks produced (== number of alloc calls).
 std::size_t pack_blocks_into(
     std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
     std::size_t block_size,
     const std::function<std::span<std::byte>()>& alloc);
 
-/// Builds one dummy block (for padding) in `out` (resized to block_size).
-void make_dummy_block(std::uint32_t dst_group, std::size_t block_size,
-                      std::vector<std::byte>& out);
+/// Emit-style adapter over pack_blocks_into: each finished block is handed
+/// to `emit` (a span of exactly `block_size` bytes, valid until the next
+/// call).  Returns the number of blocks produced.
+std::size_t pack_blocks(
+    std::span<const bsp::MessageRef> messages, std::uint32_t dst_group,
+    std::size_t block_size,
+    const std::function<void(std::span<const std::byte>)>& emit);
+
+/// Writes a dummy block (padded mode's filler) for `dst_group` over the
+/// whole of `out`.
+void make_dummy_block(std::uint32_t dst_group, std::span<std::byte> out);
 
 [[nodiscard]] BlockHeader parse_header(std::span<const std::byte> block);
 
@@ -142,7 +135,7 @@ class BlockBuilder {
   std::uint16_t n_chunks_ = 0;
 };
 
-/// Incremental message reassembly from chunks.
+/// Incremental message reassembly from chunks into an arena.
 ///
 /// Blocks come back from disk, so every header field (n_chunks, chunk_len,
 /// offset, total_len) is treated as untrusted input: absorb() bounds-checks
@@ -150,51 +143,42 @@ class BlockBuilder {
 /// 64-bit arithmetic and throws em::CorruptBlockError (retryable — a
 /// re-read may heal an in-flight flip) on any inconsistency, never reading
 /// or writing out of bounds.  Chunks of one message that overlap (a block
-/// absorbed twice) are such an inconsistency too, so a message that
-/// take()/take_refs() hands out had every payload byte written by a chunk.
+/// absorbed twice) are such an inconsistency too, so a message that take()
+/// hands out had every payload byte written by a chunk.
 class Reassembler {
  public:
+  /// Payload buffers are bump-allocated from `arena`, and take() returns
+  /// span views into it (valid until the arena resets).
   /// `max_message_bytes` caps any single message's claimed total_len; a
   /// block claiming more is rejected as corrupt instead of triggering a
   /// giant allocation.  0 disables the cap.  The simulators pass gamma
   /// (the per-processor message-size bound the BSP* model already
   /// enforces on send).
-  ///
-  /// When `arena` is non-null the reassembler runs in zero-copy mode:
-  /// payload buffers are bump-allocated from the arena and take_refs()
-  /// returns span views into it (valid until the arena resets).  take()
-  /// remains available for callers that need owning messages.
-  explicit Reassembler(std::uint64_t max_message_bytes = 0,
-                       util::Arena* arena = nullptr)
-      : max_message_bytes_(max_message_bytes), arena_(arena) {}
+  explicit Reassembler(util::Arena& arena, std::uint64_t max_message_bytes = 0)
+      : max_message_bytes_(max_message_bytes), arena_(&arena) {}
 
   /// Parse one block and absorb its chunks.  `expected_group` validates the
   /// block's header (pass kDummyGroup to skip validation).
   void absorb(std::span<const std::byte> block, std::uint32_t expected_group);
 
-  /// All fully reassembled messages; throws if any message is incomplete.
-  [[nodiscard]] std::vector<bsp::Message> take();
-
-  /// Zero-copy variant of take(): views into the arena passed at
-  /// construction.  Only valid in arena mode.
-  [[nodiscard]] std::vector<bsp::MessageRef> take_refs();
+  /// All fully reassembled messages, as views into the arena; throws if
+  /// any message is incomplete.
+  [[nodiscard]] std::vector<bsp::MessageRef> take();
 
   [[nodiscard]] std::size_t pending() const { return partial_.size(); }
 
  private:
   struct Partial {
-    bsp::Message msg;            ///< owning buffer (msg.payload) when
-                                 ///< arena_ == nullptr
-    std::span<std::byte> buf;    ///< arena buffer when arena_ != nullptr
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    std::uint32_t seq = 0;
+    std::span<std::byte> buf;    ///< the payload, in the arena
     std::uint64_t received = 0;  ///< sum of the absorbed chunk lengths
     /// Bytes [0, prefix) arrived as chunks in offset order; any other
     /// chunk's [begin, end) waits in `spans` until check_complete proves
     /// that no two chunks overlap.
     std::uint64_t prefix = 0;
     std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
-    [[nodiscard]] std::size_t total(bool arena_mode) const {
-      return arena_mode ? buf.size() : msg.payload.size();
-    }
   };
   // Key is the full (src, dst, seq) triple: seq numbers only order messages
   // with the same (src, dst) pair (bsp::Message), so two messages from one
@@ -220,7 +204,7 @@ class Reassembler {
   };
   std::unordered_map<ChunkKey, Partial, ChunkKeyHash> partial_;
   std::uint64_t max_message_bytes_ = 0;
-  util::Arena* arena_ = nullptr;
+  util::Arena* arena_;
   Partial* find_or_create(std::uint32_t src, std::uint32_t dst,
                           std::uint32_t seq, std::uint32_t total_len);
   void check_complete(Partial& p) const;

@@ -64,28 +64,13 @@ struct SimConfig {
   RoutingMode routing = RoutingMode::compact;
 
   /// Self-tuning layout (CLI --auto-tune): LayoutPlanner::apply_auto_tune
-  /// overrides k, routing mode, coalescing and (when pipelining) the
-  /// compute-pool width at construction, and the sequential simulator
-  /// re-plans the compute width at superstep boundaries from the engine's
-  /// stall/busy deltas.  Results never depend on any tuned knob — only
-  /// wall clock does.  The chosen plan is exported as sim.layout.* gauges.
+  /// overrides k, routing mode and (when pipelining) the compute-pool width
+  /// at construction, and each rank re-plans the compute width at
+  /// superstep boundaries from the engine's stall/busy deltas.  Results
+  /// never depend on any tuned knob — only wall clock does.  The chosen
+  /// plan is exported as sim.layout.* gauges.
   bool auto_tune = false;
 
-  /// Zero-copy message path: pack outbox messages (arena-backed spans)
-  /// straight into staged block buffers and deliver fetched messages as
-  /// MessageRef views over an arena, skipping the per-message and per-block
-  /// bounce copies of the legacy path.  Disk image, costs and fault
-  /// schedule are byte-identical either way for a fixed seed; off restores
-  /// the copying path (kept for parity tests and as a fallback).
-  bool zero_copy = true;
-
-  /// Merge runs of adjacent tracks inside one batched submission into a
-  /// single vectored backend transfer per disk (preadv/pwritev).  Purely
-  /// physical — model costs and the disk image are unchanged.  Forced off
-  /// when fault injection is active: retrying a coalesced run would replay
-  /// backend calls for tracks that already succeeded and shift the
-  /// deterministic fault schedule.
-  bool coalesce_io = true;
   /// How the D per-disk transfers of each parallel I/O are executed:
   /// serial (issuing thread, default), parallel (per-disk worker pool —
   /// overlaps real device I/O on file backends), or uring (per-disk workers

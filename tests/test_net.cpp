@@ -579,15 +579,6 @@ TEST(DistParity, BigMessagesTwoRanks) {
       [](std::uint32_t) { return BigMessageProgram::State{}; }, "bigmsg");
 }
 
-TEST(DistParity, LegacyCopyingPath) {
-  IrregularProgram prog;
-  auto cfg = dist_config(3, 12, 2, 128, 64, 4096);
-  cfg.zero_copy = false;
-  expect_three_way_parity(
-      prog, cfg, [](std::uint32_t) { return IrregularProgram::State{}; },
-      "copying");
-}
-
 TEST(DistParity, DeterministicRouting) {
   IrregularProgram prog;
   auto cfg = dist_config(4, 16, 2, 128, 64, 4096);

@@ -30,24 +30,40 @@ bsp::Message make_msg(std::uint32_t src, std::uint32_t dst, std::uint32_t seq,
   return m;
 }
 
+/// Views of `msgs`' payloads; `msgs` must outlive them.
+std::vector<bsp::MessageRef> refs_of(std::span<const bsp::Message> msgs) {
+  std::vector<bsp::MessageRef> refs;
+  for (const auto& m : msgs) refs.push_back({m.src, m.dst, m.seq, m.payload});
+  return refs;
+}
+
+/// Owning copies of `refs`, for comparisons that outlive their arena.
+std::vector<bsp::Message> owned(std::span<const bsp::MessageRef> refs) {
+  std::vector<bsp::Message> out;
+  for (const auto& m : refs) {
+    out.push_back({m.src, m.dst, m.seq, {m.payload.begin(), m.payload.end()}});
+  }
+  return out;
+}
+
 std::vector<bsp::Message> pack_and_reassemble(
     const std::vector<bsp::Message>& msgs, std::size_t block_size,
     bool shuffle_blocks) {
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
-    blocks.emplace_back(b.begin(), b.end());
-  });
+  pack_blocks(refs_of(msgs), 0, block_size,
+              [&](std::span<const std::byte> b) {
+                blocks.emplace_back(b.begin(), b.end());
+              });
   if (shuffle_blocks) {
     util::Rng rng(77);
     for (std::size_t i = blocks.size(); i > 1; --i) {
       std::swap(blocks[i - 1], blocks[rng.below(i)]);
     }
   }
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   for (const auto& b : blocks) r.absorb(b, 0);
-  return r.take();
+  return owned(r.take());
 }
 
 void expect_same_messages(std::vector<bsp::Message> got,
@@ -97,10 +113,8 @@ TEST(BlockFormat, BlocksAreFull) {
   // close to the information-theoretic minimum number of blocks.
   std::vector<bsp::Message> msgs;
   for (std::uint32_t i = 0; i < 10; ++i) msgs.push_back(make_msg(0, 1, i, 100));
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
   std::size_t blocks = 0;
-  pack_blocks(ptrs, 0, 128,
+  pack_blocks(refs_of(msgs), 0, 128,
               [&](std::span<const std::byte>) { ++blocks; });
   // ~1000 payload bytes + ~22 per chunk; with 120 usable per block this
   // needs at least 9 blocks and should not exceed 13.
@@ -109,34 +123,35 @@ TEST(BlockFormat, BlocksAreFull) {
 }
 
 TEST(BlockFormat, DummyBlockSkipped) {
-  std::vector<std::byte> dummy;
-  make_dummy_block(5, 64, dummy);
+  std::vector<std::byte> dummy(64);
+  make_dummy_block(5, dummy);
   EXPECT_TRUE(is_dummy_block(dummy));
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   r.absorb(dummy, 5);
   EXPECT_TRUE(r.take().empty());
 }
 
 TEST(BlockFormat, WrongGroupDetected) {
   auto m = make_msg(0, 1, 0, 8);
-  std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::byte> block;
-  pack_blocks(ptrs, 3, 64, [&](std::span<const std::byte> b) {
+  pack_blocks(refs_of({&m, 1}), 3, 64, [&](std::span<const std::byte> b) {
     block.assign(b.begin(), b.end());
   });
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 4), std::runtime_error);
 }
 
 TEST(BlockFormat, IncompleteMessageDetected) {
   auto m = make_msg(0, 1, 0, 500);
-  std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+  pack_blocks(refs_of({&m, 1}), 0, 64, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_GT(blocks.size(), 1u);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   r.absorb(blocks[0], 0);  // drop the rest
   EXPECT_THROW(r.take(), std::runtime_error);
 }
@@ -181,18 +196,19 @@ void poke_u16(std::vector<std::byte>& b, std::size_t off, std::uint16_t v) {
 std::vector<std::byte> valid_block(std::size_t block_size = 64,
                                    std::size_t payload_len = 8) {
   auto m = make_msg(1, 2, 0, payload_len);
-  std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::byte> block;
-  pack_blocks(ptrs, 0, block_size, [&](std::span<const std::byte> b) {
-    block.assign(b.begin(), b.end());
-  });
+  pack_blocks(refs_of({&m, 1}), 0, block_size,
+              [&](std::span<const std::byte> b) {
+                block.assign(b.begin(), b.end());
+              });
   return block;
 }
 
 TEST(CorruptBlock, TruncatedHeaderThrows) {
   std::vector<std::byte> tiny(kBlockHeaderBytes - 1, std::byte{0});
   EXPECT_THROW((void)parse_header(tiny), std::invalid_argument);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(tiny, 0), std::exception);
 }
 
@@ -201,7 +217,8 @@ TEST(CorruptBlock, NChunksBeyondSpanThrows) {
   // the parser must reject it up front instead of walking off the end.
   auto block = valid_block();
   poke_u16(block, 4, 0x7FFF);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -213,7 +230,8 @@ TEST(CorruptBlock, TruncatedChunkHeaderThrows) {
   // remain, enough for the second header (22) — shrink the block so the
   // second header is cut off.
   block.resize(kBlockHeaderBytes + kChunkHeaderBytes + 8 + 10);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -221,7 +239,8 @@ TEST(CorruptBlock, ChunkLenPastBlockEndThrows) {
   // chunk_len points past the physical block span.
   auto block = valid_block();
   poke_u16(block, kBlockHeaderBytes + 20, 0xFFF0);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -231,7 +250,8 @@ TEST(CorruptBlock, OffsetOverflowWrapThrows) {
   // payload.data() + 4 GiB.  The check must be done in 64 bits.
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 16, 0xFFFFFFF8u);
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -239,7 +259,8 @@ TEST(CorruptBlock, OffsetPastTotalLenThrows) {
   // In-range lengths, but the chunk lands past the message's total_len.
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 16, 100);  // offset 100 into an 8-byte msg
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   EXPECT_THROW(r.absorb(block, 0), em::CorruptBlockError);
 }
 
@@ -248,14 +269,14 @@ TEST(CorruptBlock, TotalLenMismatchAcrossChunksThrows) {
   // buffer is sized by the first chunk; trusting the second (larger) value
   // used to let the memcpy run past it — a heap overflow.
   auto m = make_msg(1, 2, 0, 100);
-  std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+  pack_blocks(refs_of({&m, 1}), 0, 64, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_GE(blocks.size(), 2u);
   poke_u32(blocks[1], kBlockHeaderBytes + 12, 200);  // total_len 100 -> 200
-  Reassembler r;
+  util::Arena arena;
+  Reassembler r(arena);
   r.absorb(blocks[0], 0);
   EXPECT_THROW(r.absorb(blocks[1], 0), em::CorruptBlockError);
 }
@@ -266,29 +287,23 @@ TEST(CorruptBlock, DuplicatedChunkIsNotTheMissingOne) {
   // brings the byte count to total_len while the other half of the payload
   // was never written; reassembly must reject it, not hand it out.
   auto m = make_msg(1, 2, 0, 68);
-  std::vector<const bsp::Message*> ptrs{&m};
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 64, [&](std::span<const std::byte> b) {
+  pack_blocks(refs_of({&m, 1}), 0, 64, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_EQ(blocks.size(), 2u);
+  util::Arena arena;
   for (std::size_t dup = 0; dup < 2; ++dup) {
-    Reassembler owning;
-    owning.absorb(blocks[dup], 0);
-    owning.absorb(blocks[dup], 0);
-    EXPECT_THROW((void)owning.take(), em::CorruptBlockError) << dup;
-
-    util::Arena arena;
-    Reassembler zero_copy(0, &arena);
-    zero_copy.absorb(blocks[dup], 0);
-    zero_copy.absorb(blocks[dup], 0);
-    EXPECT_THROW((void)zero_copy.take_refs(), em::CorruptBlockError) << dup;
+    Reassembler twice(arena);
+    twice.absorb(blocks[dup], 0);
+    twice.absorb(blocks[dup], 0);
+    EXPECT_THROW((void)twice.take(), em::CorruptBlockError) << dup;
   }
   // Both halves in either order still reassemble.
-  Reassembler r;
+  Reassembler r(arena);
   r.absorb(blocks[1], 0);
   r.absorb(blocks[0], 0);
-  auto got = r.take();
+  auto got = owned(r.take());
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0].payload, m.payload);
 }
@@ -299,11 +314,12 @@ TEST(CorruptBlock, OversizedTotalLenRejectedByLimit) {
   auto block = valid_block(64, 8);
   poke_u32(block, kBlockHeaderBytes + 12, 1u << 20);  // total_len = 1 MiB
   poke_u32(block, kBlockHeaderBytes + 16, 0);         // keep offset sane
-  Reassembler capped(1024);
+  util::Arena arena;
+  Reassembler capped(arena, 1024);
   EXPECT_THROW(capped.absorb(block, 0), em::CorruptBlockError);
   // An uncapped reassembler accepts the header (the chunk itself is
   // in-bounds) and reports the message incomplete at take() time.
-  Reassembler uncapped;
+  Reassembler uncapped(arena);
   uncapped.absorb(block, 0);
   EXPECT_THROW(uncapped.take(), std::runtime_error);
 }
@@ -317,13 +333,12 @@ TEST(CorruptBlock, GarbledBlockFuzzNeverCrashes) {
   for (std::uint32_t i = 0; i < 8; ++i) {
     msgs.push_back(make_msg(i, 1, i, (i * 53) % 200));
   }
-  std::vector<const bsp::Message*> ptrs;
-  for (const auto& m : msgs) ptrs.push_back(&m);
   std::vector<std::vector<std::byte>> blocks;
-  pack_blocks(ptrs, 0, 96, [&](std::span<const std::byte> b) {
+  pack_blocks(refs_of(msgs), 0, 96, [&](std::span<const std::byte> b) {
     blocks.emplace_back(b.begin(), b.end());
   });
   ASSERT_FALSE(blocks.empty());
+  util::Arena arena;
   for (int iter = 0; iter < 2000; ++iter) {
     std::vector<std::byte> block;
     if (iter % 4 == 0) {
@@ -340,7 +355,8 @@ TEST(CorruptBlock, GarbledBlockFuzzNeverCrashes) {
             static_cast<std::byte>(1u << rng.below(8));
       }
     }
-    Reassembler r(4096);
+    arena.reset();
+    Reassembler r(arena, 4096);
     try {
       r.absorb(block, 0);
       (void)r.take();
@@ -537,13 +553,15 @@ TEST_P(MessageStoreTest, WriteReorganizeFetchRoundTrip) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     msgs.push_back(make_msg(i % 16, i % 32, i, (i * 11) % 200));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 4; }, rng);
+  store.write_messages(refs_of(msgs),
+                       [](std::uint32_t dst) { return dst / 4; }, rng);
   store.flush(rng);
   store.reorganize(rng);
 
+  util::Arena arena;
   std::vector<bsp::Message> got;
   for (std::uint32_t g = 0; g < 8; ++g) {
-    auto part = store.fetch_group(g);
+    auto part = owned(store.fetch_group(g, arena));
     for (auto& m : part) {
       EXPECT_EQ(m.dst / 4, g);
       got.push_back(std::move(m));
@@ -558,18 +576,19 @@ TEST_P(MessageStoreTest, SecondSuperstepReusesSpace) {
   MessageStore store(disks, alloc, MessageStoreConfig{4, 16, GetParam()});
   util::Rng rng(10);
   const auto group_of = [](std::uint32_t dst) { return dst / 2; };
+  util::Arena arena;
 
   for (int superstep = 0; superstep < 3; ++superstep) {
     std::vector<bsp::Message> msgs;
     for (std::uint32_t i = 0; i < 20; ++i) {
       msgs.push_back(make_msg(i, i % 8, i + superstep * 100, 50));
     }
-    store.write_messages(msgs, group_of, rng);
+    store.write_messages(refs_of(msgs), group_of, rng);
     store.flush(rng);
     store.reorganize(rng);
     std::vector<bsp::Message> got;
     for (std::uint32_t g = 0; g < 4; ++g) {
-      auto part = store.fetch_group(g);
+      auto part = owned(store.fetch_group(g, arena));
       got.insert(got.end(), std::make_move_iterator(part.begin()),
                  std::make_move_iterator(part.end()));
     }
@@ -588,7 +607,7 @@ TEST_P(MessageStoreTest, CapacityOverflowDiagnosed) {
   std::vector<bsp::Message> msgs;
   for (std::uint32_t i = 0; i < 50; ++i) msgs.push_back(make_msg(0, 0, i, 100));
   EXPECT_THROW(store.write_messages(
-                   msgs, [](std::uint32_t) { return 0u; }, rng),
+                   refs_of(msgs), [](std::uint32_t) { return 0u; }, rng),
                std::runtime_error);
 }
 
@@ -629,6 +648,7 @@ TEST_P(MessageStoreTest, WindowedReorganizeMatchesPerCycleSchedule) {
     rigs.push_back(std::make_unique<WindowRig>(GetParam(), budget));
   }
   const auto group_of = [](std::uint32_t dst) { return dst / 4; };
+  util::Arena arena;
   // Three supersteps: later ones reuse the chain tracks released earlier.
   for (std::uint32_t superstep = 0; superstep < 3; ++superstep) {
     std::vector<bsp::Message> msgs;
@@ -638,7 +658,7 @@ TEST_P(MessageStoreTest, WindowedReorganizeMatchesPerCycleSchedule) {
     }
     std::vector<RoutingStats> stats;
     for (auto& r : rigs) {
-      r->store.write_messages(msgs, group_of, r->rng);
+      r->store.write_messages(refs_of(msgs), group_of, r->rng);
       r->store.flush(r->rng);
       const em::IoStats before = r->disks.stats();
       stats.push_back(r->store.reorganize(r->rng));
@@ -661,9 +681,9 @@ TEST_P(MessageStoreTest, WindowedReorganizeMatchesPerCycleSchedule) {
     EXPECT_NE(stats[0].step1_cycles % 3, 0u) << "superstep " << superstep;
     EXPECT_NE(stats[0].step2_cycles % 3, 0u) << "superstep " << superstep;
     for (std::uint32_t g = 0; g < WindowRig::kGroups; ++g) {
-      const auto want = rigs[0]->store.fetch_group(g);
+      const auto want = owned(rigs[0]->store.fetch_group(g, arena));
       for (std::size_t r = 1; r < rigs.size(); ++r) {
-        const auto got = rigs[r]->store.fetch_group(g);
+        const auto got = owned(rigs[r]->store.fetch_group(g, arena));
         ASSERT_EQ(got.size(), want.size()) << "rig " << r << " group " << g;
         for (std::size_t i = 0; i < got.size(); ++i) {
           EXPECT_EQ(got[i].src, want[i].src);
@@ -732,7 +752,8 @@ TEST(MessageStore, DeterministicModeBalancesExactly) {
   for (std::uint32_t i = 0; i < 300; ++i) {
     msgs.push_back(make_msg(i, i % 8, i, 100));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
+  store.write_messages(refs_of(msgs),
+                       [](std::uint32_t dst) { return dst / 2; }, rng);
   store.flush(rng);
   const auto& buckets = store.buckets();
   for (std::uint32_t b = 0; b < 4; ++b) {
@@ -757,9 +778,10 @@ TEST(MessageStore, PaddedModeWritesFullCapacity) {
   auto stats = store.reorganize(rng);
   EXPECT_EQ(stats.blocks_total, 32u);
   EXPECT_EQ(stats.dummy_blocks, 32u);
+  util::Arena arena;
   for (std::uint32_t g = 0; g < 4; ++g) {
     EXPECT_EQ(store.group_blocks(g), 8u);
-    EXPECT_TRUE(store.fetch_group(g).empty());  // dummies skipped
+    EXPECT_TRUE(store.fetch_group(g, arena).empty());  // dummies skipped
   }
 }
 
@@ -784,7 +806,8 @@ TEST(MessageStore, RoutingBalanceStats) {
   for (std::uint32_t i = 0; i < 400; ++i) {
     msgs.push_back(make_msg(i, i % 16, i, 90));
   }
-  store.write_messages(msgs, [](std::uint32_t dst) { return dst / 2; }, rng);
+  store.write_messages(refs_of(msgs),
+                       [](std::uint32_t dst) { return dst / 2; }, rng);
   store.flush(rng);
   auto stats = store.reorganize(rng);
   EXPECT_GT(stats.blocks_total, 0u);

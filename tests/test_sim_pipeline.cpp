@@ -339,59 +339,6 @@ TEST(SimPipeline, RoutingModesStayDeterministic) {
   }
 }
 
-// --- Zero-copy / coalescing parity -------------------------------------------
-
-TEST(SimPipeline, ZeroCopyOffMatchesOnByteForByte) {
-  // The arena/MessageRef path must be indistinguishable from the legacy
-  // copying path: same program results, same model costs, and bit-for-bit
-  // the same disk images for a fixed seed.
-  scrub_images("zc_on");
-  scrub_images("zc_off");
-  IrregularProgram prog;
-  prog.rounds = 4;
-  auto on_cfg = base_config(1, 24);  // zero_copy defaults to true
-  auto off_cfg = on_cfg;
-  off_cfg.zero_copy = false;
-  sim::SimResult on_res, off_res;
-  const auto on = run_seq_collect(prog, on_cfg, on_res, "zc_on");
-  const auto off = run_seq_collect(prog, off_cfg, off_res, "zc_off");
-  EXPECT_EQ(on, off);
-  expect_same_costs(on_res, off_res);
-  for (std::size_t d = 0; d < 4; ++d) {
-    const auto a = image_bytes("zc_on", d);
-    const auto b = image_bytes("zc_off", d);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "disk image " << d
-                    << " differs between zero-copy and copying path";
-  }
-  scrub_images("zc_on");
-  scrub_images("zc_off");
-}
-
-TEST(SimPipeline, CoalesceOffMatchesOnByteForByte) {
-  // Track coalescing is purely physical: with it disabled the same batched
-  // submissions run track-by-track, and nothing model-visible may change.
-  scrub_images("co_on");
-  scrub_images("co_off");
-  IrregularProgram prog;
-  auto on_cfg = pipelined(base_config(1, 16));  // coalesce_io defaults true
-  auto off_cfg = on_cfg;
-  off_cfg.coalesce_io = false;
-  sim::SimResult on_res, off_res;
-  const auto on = run_seq_collect(prog, on_cfg, on_res, "co_on");
-  const auto off = run_seq_collect(prog, off_cfg, off_res, "co_off");
-  EXPECT_EQ(on, off);
-  expect_same_costs(on_res, off_res);
-  for (std::size_t d = 0; d < 4; ++d) {
-    const auto a = image_bytes("co_on", d);
-    const auto b = image_bytes("co_off", d);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << "disk image " << d << " differs with coalescing";
-  }
-  scrub_images("co_on");
-  scrub_images("co_off");
-}
-
 TEST(SimPipeline, AutoRoutingMatchesCompactWithFewerIos) {
   // base_config's groups fit the staging budget, so `automatic` must take
   // the in-memory delivery path: identical program results, strictly fewer
@@ -531,18 +478,6 @@ TEST(SimPipeline, ParPipelinedMatchesBaseline) {
   expect_same_costs(base, piped);
 }
 
-TEST(SimPipeline, ParZeroCopyOffMatchesOn) {
-  IrregularProgram prog;
-  auto on_cfg = base_config(2, 32);  // zero_copy defaults to true
-  auto off_cfg = on_cfg;
-  off_cfg.zero_copy = false;
-  sim::SimResult on_res, off_res;
-  const auto a = run_par_collect(prog, on_cfg, on_res);
-  const auto b = run_par_collect(prog, off_cfg, off_res);
-  EXPECT_EQ(a, b);
-  expect_same_costs(on_res, off_res);
-}
-
 TEST(SimPipeline, ParAbortPathStaysClean) {
   // A program that trips the gamma budget mid-superstep while transfers
   // are in flight: the cooperative abort must drain before unwinding (no
@@ -662,35 +597,29 @@ std::vector<std::uint64_t> run_seq_collect_uring(const Prog& prog,
 }
 
 TEST(SimPipeline, UringEngineMatchesWorkerPoolByteForByte) {
-  // The engine matrix: worker-pool file I/O vs kernel-native uring I/O,
-  // with coalescing on and off, must agree on program results, model
-  // costs, and bit-for-bit the disk images.  The uring factory falls back
-  // to plain file I/O when the kernel lacks io_uring, so the comparison
-  // is valid (if then trivial) everywhere.
-  for (const bool coalesce : {true, false}) {
-    scrub_images("eng_pool");
-    scrub_images("eng_uring");
-    IrregularProgram prog;
-    prog.rounds = 4;
-    auto cfg = pipelined(base_config(1, 24));
-    cfg.coalesce_io = coalesce;
-    sim::SimResult pool_res, uring_res;
-    const auto pool = run_seq_collect(prog, cfg, pool_res, "eng_pool");
-    const auto uring =
-        run_seq_collect_uring(prog, cfg, uring_res, "eng_uring");
-    EXPECT_EQ(pool, uring) << "coalesce=" << coalesce;
-    expect_same_costs(pool_res, uring_res);
-    for (std::size_t d = 0; d < 4; ++d) {
-      const auto a = image_bytes("eng_pool", d);
-      const auto b = image_bytes("eng_uring", d);
-      ASSERT_FALSE(a.empty());
-      EXPECT_EQ(a, b) << "disk image " << d
-                      << " differs between engines (coalesce=" << coalesce
-                      << ")";
-    }
-    scrub_images("eng_pool");
-    scrub_images("eng_uring");
+  // The engine matrix: worker-pool file I/O vs kernel-native uring I/O must
+  // agree on program results, model costs, and bit-for-bit the disk
+  // images.  The uring factory falls back to plain file I/O when the
+  // kernel lacks io_uring, so the comparison is valid (if then trivial)
+  // everywhere.
+  scrub_images("eng_pool");
+  scrub_images("eng_uring");
+  IrregularProgram prog;
+  prog.rounds = 4;
+  auto cfg = pipelined(base_config(1, 24));
+  sim::SimResult pool_res, uring_res;
+  const auto pool = run_seq_collect(prog, cfg, pool_res, "eng_pool");
+  const auto uring = run_seq_collect_uring(prog, cfg, uring_res, "eng_uring");
+  EXPECT_EQ(pool, uring);
+  expect_same_costs(pool_res, uring_res);
+  for (std::size_t d = 0; d < 4; ++d) {
+    const auto a = image_bytes("eng_pool", d);
+    const auto b = image_bytes("eng_uring", d);
+    ASSERT_FALSE(a.empty());
+    EXPECT_EQ(a, b) << "disk image " << d << " differs between engines";
   }
+  scrub_images("eng_pool");
+  scrub_images("eng_uring");
 }
 
 TEST(SimPipeline, UringEngineDirectIoMatchesBuffered) {

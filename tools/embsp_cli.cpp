@@ -21,11 +21,8 @@
 //                      (--routing is an alias; auto keeps routing in memory
 //                      and skips Algorithm 2 when the staging budget fits,
 //                      falling back to compact otherwise)
-//     --no-zero-copy   route message payloads through the legacy copying
-//                      path (same results; for comparison/debugging)
-//     --no-coalesce    disable vectored coalescing of adjacent-track runs
 //     --auto-tune      let the layout planner pick the tuning knobs (group
-//                      size, routing mode, coalescing, compute-pool width)
+//                      size, routing mode, compute-pool width)
 //                      from the machine parameters, and — when pipelined —
 //                      adapt the compute width at superstep boundaries from
 //                      the I/O engine's stall fraction.  Results are
@@ -156,8 +153,6 @@ struct Options {
   std::string metrics;
   std::string trace;
   bool pipeline = false;
-  bool zero_copy = true;
-  bool coalesce = true;
   bool auto_tune = false;
   std::size_t compute_threads = 1;
   std::string io_engine;  // "", "serial", "parallel", "uring"
@@ -183,8 +178,7 @@ int usage() {
          "             [--mode compact|padded|deterministic|auto]\n"
          "             [--seed S] [--csv PATH] [--faults RATE]\n"
          "             [--metrics PATH] [--trace-events PATH]\n"
-         "             [--pipeline] [--compute-threads T]\n"
-         "             [--no-zero-copy] [--no-coalesce] [--auto-tune]\n"
+         "             [--pipeline] [--compute-threads T] [--auto-tune]\n"
          "             [--io-engine serial|parallel|uring] [--direct]\n"
          "             [--disk-dir DIR]\n"
          "             [--checkpoint DIR] [--checkpoint-every N]\n"
@@ -224,16 +218,6 @@ bool parse(int argc, char** argv, Options& opt) {
     // Flags without a value.
     if (flag == "--pipeline") {
       opt.pipeline = true;
-      ++i;
-      continue;
-    }
-    if (flag == "--no-zero-copy") {
-      opt.zero_copy = false;
-      ++i;
-      continue;
-    }
-    if (flag == "--no-coalesce") {
-      opt.coalesce = false;
       ++i;
       continue;
     }
@@ -612,8 +596,6 @@ int run_workload(const Options& opt, Fn fn) {
   cfg.machine.em = {opt.M, opt.D, opt.B, 1.0};
   cfg.k = opt.k;
   cfg.routing = opt.mode;
-  cfg.zero_copy = opt.zero_copy;
-  cfg.coalesce_io = opt.coalesce;
   cfg.auto_tune = opt.auto_tune;
   cfg.seed = opt.seed;
   if (opt.pipeline) {
